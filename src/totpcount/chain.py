@@ -7,10 +7,13 @@ proportional to 2^(n - depth) on each node, where n is the tree height;
 the normalizing factor alpha therefore satisfies pi(root) = alpha * 2^n,
 and estimating the root's stationary mass recovers alpha.
 
-Because every transition probability is a multiple of 1/8, the vectorized
-walker for explicit trees resolves each step with a single uniform draw
-from {0..7} and a precomputed outcome table; the scalar ``lazy_step``
-keeps the interval form of the same kernel for oracle-backed trees.
+Because every transition probability is a multiple of 1/8, one step is
+a table lookup on a uniform draw from {0..7}.  The vectorized walker for
+explicit trees composes that table with itself into a j-step table whose
+columns are the 8^j sequences of j draws, so one gather on a uniform
+3j-bit code moves a walker j steps with exactly the law of j steps (see
+``IndexedTree``).  The scalar ``lazy_step`` keeps the interval form of
+the same kernel for oracle-backed trees.
 
 Sample-size rule: estimating pi(root) within a factor (1 +- zeta) with
 failure probability <= 1/4 needs m = ceil(4(n+1)/zeta^2) independent
@@ -45,9 +48,13 @@ class ChainParams:
     """Knobs of the walk: target deviation from stationarity and burn-in slack.
 
     ``tv_tolerance`` is the allowed total-variation deviation of a sample
-    from the stationary law; when None, estimators derive it from their
-    accuracy target as zeta / (8 (n+1)).  ``burn_in_constant`` is the
-    unspecified constant of the conductance-based mixing bound.
+    from the stationary law.  The two entry points fill it differently:
+    ``estimate_alpha`` uses it when set and otherwise derives
+    zeta / (8 (n+1)) from its accuracy target (``default_tv_tolerance``);
+    ``estimator.estimate_size`` always replaces it with zeta / (1 + zeta)
+    for its per-depth zeta, whatever the caller set.
+    ``burn_in_constant`` is the unspecified constant of the
+    conductance-based mixing bound.
     """
 
     tv_tolerance: float | None = None
@@ -106,20 +113,6 @@ def lazy_step(tree: BranchingTree, node: NodePath, rng: np.random.Generator) -> 
     if u < 0.5:
         kids = tree.children(node)
         want = node + (0,) if u < 0.375 else node + (1,)
-        if want in kids:
-            return want
-        return node
-    return node
-
-
-def base_step(tree: BranchingTree, node: NodePath, rng: np.random.Generator) -> NodePath:
-    """Non-lazy variant (parent 1/2, child 1/4); diagnostic use only."""
-    u = rng.random()
-    if u < 0.5:
-        return node[:-1] if node else node
-    if u < 1.0:
-        kids = tree.children(node)
-        want = node + (0,) if u < 0.75 else node + (1,)
         if want in kids:
             return want
         return node
@@ -188,13 +181,32 @@ def transition_matrix_exact(tree: ExplicitTree, lazy: bool = True):
 # batched walking on explicit trees
 
 
+# Entries of the j-step table (int32, so 128 KB) and uint16 codes per draw
+# block (64 KB).  Larger caps buy little speed and cost resident memory.
+_TABLE_ENTRIES = 1 << 15
+_BLOCK_CODES = 1 << 15
+# A j-step code takes 3j bits and must fit a uint16.
+_MAX_JUMP = 5
+
+
 class IndexedTree:
     """Array form of an explicit tree for the vectorized walker.
 
-    ``table[k, b]`` is the node reached from node k when the step draw is
-    b in {0..7}: draws 0-1 move to the parent (the root holds), draw 2 to
-    the left child, draw 3 to the right child (absent children hold), and
-    draws 4-7 hold.  Each outcome thus has exactly its kernel probability.
+    ``flat_table[8 k + b]`` is the node reached from node k when the step
+    draw is b in {0..7}: draws 0-1 move to the parent (the root holds),
+    draw 2 to the left child, draw 3 to the right child (absent children
+    hold), and draws 4-7 hold.  Each outcome thus has exactly its kernel
+    probability.
+
+    ``jump_table[8^j k + c]``, for c in [0, 8^j), is the node reached from
+    node k after ``jump`` = j one-step moves whose draws are the base-8
+    digits of c, most significant first.  It is ``flat_table`` composed
+    with itself j times.  A uniform c has j independent uniform digits, so
+    an outcome's share of the 8^j columns is exactly its probability under
+    j steps of the walk: row k of the transition matrix to the power j.
+    j is the largest value up to 5 whose table, K 8^j entries for K nodes,
+    stays within 2^15 entries: j = 5 at a single node, 4 up to 8 nodes,
+    3 up to 64, 2 up to 512; trees above 4096 nodes walk with j = 1.
     """
 
     def __init__(self, tree: ExplicitTree):
@@ -203,7 +215,7 @@ class IndexedTree:
         self.nodes = sorted(tree.nodes, key=lambda p: (len(p), p))
         index = {p: i for i, p in enumerate(self.nodes)}
         k = len(self.nodes)
-        table = np.empty((k, 8), dtype=np.int64)
+        table = np.empty((k, 8), dtype=np.int32)
         for i, p in enumerate(self.nodes):
             parent = index[p[:-1]] if p else i
             left = index.get(p + (0,), i)
@@ -211,15 +223,40 @@ class IndexedTree:
             table[i] = (parent, parent, left, right, i, i, i, i)
         self.flat_table = table.ravel()
         self.root = index[ROOT]
+        jump, self.jump = table, 1
+        while self.jump < _MAX_JUMP and k * 8 ** (self.jump + 1) <= _TABLE_ENTRIES:
+            jump = table[jump].reshape(k, -1)
+            self.jump += 1
+        self.jump_table = jump.ravel()
 
     def walk_batch(self, n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-        """Final node indices of ``n_walkers`` independent walks from the root."""
-        state = np.full(n_walkers, self.root, dtype=np.int64)
-        flat = self.flat_table
-        for _ in range(steps):
-            draws = rng.integers(0, 8, size=n_walkers, dtype=np.int64)
-            state = flat[state * 8 + draws]
+        """Final node indices of ``n_walkers`` independent walks from the root.
+
+        Walks ``steps // jump`` gathers on the j-step table, then the
+        ``steps % jump`` leftover steps on the one-step table.
+        """
+        state = np.full(n_walkers, self.root, dtype=np.int32)
+        index = np.empty_like(state)
+        _advance(state, index, self.jump_table, self.jump, steps // self.jump, rng)
+        _advance(state, index, self.flat_table, 1, steps % self.jump, rng)
         return state
+
+
+def _advance(state, index, table, jump, gathers, rng) -> None:
+    """Move every walker in ``state`` by ``gathers`` lookups of a ``jump``-step table."""
+    bits = 3 * jump
+    rows = max(1, _BLOCK_CODES // max(len(state), 1))
+    for start in range(0, gathers, rows):
+        codes = rng.integers(
+            0, 1 << bits, size=(min(rows, gathers - start), len(state)), dtype=np.uint16
+        )
+        for row in codes:
+            np.left_shift(state, bits, out=index)
+            index |= row
+            # Every index is in range; "clip" only skips the bounds buffer.
+            np.take(table, index, out=state, mode="clip")
+        # Free this block before the next one is drawn.
+        del codes, row
 
 
 def _as_explicit(tree: BranchingTree) -> ExplicitTree | None:

@@ -21,6 +21,7 @@ from totpcount import (
     transition_matrix_exact,
     tv_distance,
 )
+from totpcount import chain
 from totpcount.chain import IndexedTree, default_tv_tolerance
 from totpcount.trees import ROOT
 
@@ -161,6 +162,103 @@ def test_indexed_walker_matches_stationary(rng):
     counts = np.bincount(finals, minlength=len(indexed.nodes))
     empirical = {p: counts[i] / walkers for i, p in enumerate(indexed.nodes)}
     assert tv_distance(empirical, stationary_exact(tree)) < 0.035
+
+
+def _exact_matrix(tree):
+    nodes, rows = transition_matrix_exact(tree)
+    return [[row.get(q, Fraction(0)) for q in nodes] for row in rows]
+
+
+def _exact_power(tree, j):
+    """The transition matrix to the power j, in exact rationals."""
+    step = _exact_matrix(tree)
+    power = step
+    for _ in range(j - 1):
+        power = [
+            [sum((x * step[m][c] for m, x in enumerate(row)), Fraction(0)) for c in range(len(step))]
+            for row in power
+        ]
+    return power
+
+
+SMALL_TREES = [
+    ExplicitTree([()]),
+    ExplicitTree([()], height=2),
+    ExplicitTree([(), (1,)]),
+    full_binary_tree(1),
+    ExplicitTree([(), (0,), (0, 1), (0, 1, 0)]),
+    full_binary_tree(2),
+    ExplicitTree([(), (0,), (1,), (0, 0), (1, 0), (1, 1), (1, 1, 0), (1, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("jump", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("tree", SMALL_TREES, ids=lambda t: f"{len(t.nodes)}nodes")
+def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
+    k = len(tree.nodes)
+    monkeypatch.setattr(chain, "_TABLE_ENTRIES", k * 8**jump)
+    indexed = IndexedTree(tree)
+    assert indexed.jump == jump
+    outcomes = indexed.jump_table.reshape(k, 8**jump)
+    for row, exact in zip(outcomes, _exact_power(tree, jump)):
+        counts = np.bincount(row, minlength=k)
+        assert [Fraction(int(c), 8**jump) for c in counts] == exact
+
+
+@pytest.mark.parametrize(
+    "tree, jump",
+    [
+        (ExplicitTree([()]), 5),
+        (ExplicitTree([(), (1,)]), 4),
+        (SMALL_TREES[-1], 4),
+        (ExplicitTree(full_binary_tree(2).nodes | {(0, 0, 0), (0, 0, 1)}), 3),
+        (full_binary_tree(5), 3),
+        (full_binary_tree(6), 2),
+        (full_binary_tree(12), 1),
+    ],
+    ids=lambda x: str(x) if isinstance(x, int) else f"{len(x.nodes)}nodes",
+)
+def test_jump_length_follows_the_table_cap(tree, jump):
+    indexed = IndexedTree(tree)
+    assert indexed.jump == jump
+    assert indexed.jump_table.size == len(tree.nodes) * 8**jump
+
+
+def _walk_law_distance(tree, walkers, steps, rng):
+    indexed = IndexedTree(tree)
+    finals = indexed.walk_batch(walkers, steps, rng)
+    assert finals.shape == (walkers,)
+    freq = np.bincount(finals, minlength=len(indexed.nodes)) / walkers
+    exact = np.linalg.matrix_power(np.array(_exact_matrix(tree), dtype=float), steps)
+    return 0.5 * np.abs(freq - exact[indexed.root]).sum()
+
+
+def test_walk_batch_zero_steps_stays_at_root(rng):
+    indexed = IndexedTree(full_binary_tree(2))
+    assert np.array_equal(indexed.walk_batch(50, 0, rng), np.full(50, indexed.root))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 6, 7])
+def test_walk_batch_leftover_steps(steps, rng):
+    # Four steps per gather here, so each of these walks leftover steps.
+    tree = full_binary_tree(1)
+    assert IndexedTree(tree).jump == 4
+    assert _walk_law_distance(tree, 100_000, steps, rng) < 0.01
+
+
+def test_walk_batch_single_node_tree(rng):
+    indexed = IndexedTree(ExplicitTree([()], height=3))
+    assert np.array_equal(indexed.walk_batch(20, 13, rng), np.zeros(20))
+
+
+def test_walk_batch_wider_than_a_draw_block(rng):
+    walkers = chain._BLOCK_CODES + 1001
+    assert _walk_law_distance(full_binary_tree(2), walkers, 9, rng) < 0.015
+
+
+def test_walk_batch_spans_several_draw_blocks(rng):
+    # 1000 walkers take 32 gathers per block; 101 gathers need four blocks.
+    assert _walk_law_distance(full_binary_tree(2), 1000, 4 * 101 + 3, rng) < 0.05
 
 
 def test_scalar_walk_matches_stationary_on_instance_tree(rng):
