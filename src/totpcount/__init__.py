@@ -18,7 +18,6 @@ from .chain import (
     estimate_alpha,
     lazy_step,
     root_mass_exact,
-    sample_stationary,
     stationary_exact,
     transition_matrix_exact,
 )

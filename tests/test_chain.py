@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,13 +17,17 @@ from totpcount import (
     lazy_step,
     random_tree,
     root_mass_exact,
-    sample_stationary,
     stationary_exact,
     transition_matrix_exact,
     tv_distance,
 )
 from totpcount import chain
-from totpcount.chain import IndexedTree, default_tv_tolerance
+from totpcount.chain import (
+    IndexedTree,
+    default_tv_tolerance,
+    repetitions_for,
+    sample_size_for,
+)
 from totpcount.trees import ROOT
 
 
@@ -143,16 +148,6 @@ def test_alpha_bounds(rng):
 # --- sampling
 
 
-def test_sample_stationary_single_node(rng):
-    tree = ExplicitTree([()])
-    assert sample_stationary(tree, 0, ChainParams(tv_tolerance=0.1), rng) == ROOT
-
-
-def test_sample_stationary_requires_tolerance(rng):
-    with pytest.raises(ValueError):
-        sample_stationary(full_binary_tree(1), 1, ChainParams(), rng)
-
-
 def test_indexed_walker_matches_stationary(rng):
     tree = random_tree(rng, 4, child_prob=0.6)
     walkers = 40_000
@@ -199,7 +194,8 @@ def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
     monkeypatch.setattr(chain, "_TABLE_ENTRIES", k * 8**jump)
     indexed = IndexedTree(tree)
     assert indexed.jump == jump
-    outcomes = indexed.jump_table.reshape(k, 8**jump)
+    # Entries are pre-shifted: 8^j times the node reached.
+    outcomes = indexed.jump_table.reshape(k, 8**jump) >> 3 * jump
     for row, exact in zip(outcomes, _exact_power(tree, jump)):
         counts = np.bincount(row, minlength=k)
         assert [Fraction(int(c), 8**jump) for c in counts] == exact
@@ -261,6 +257,23 @@ def test_walk_batch_spans_several_draw_blocks(rng):
     assert _walk_law_distance(full_binary_tree(2), 1000, 4 * 101 + 3, rng) < 0.05
 
 
+@pytest.mark.parametrize("jump", [1, 2, 3, 4, 5])
+def test_cut_codes_are_the_low_bits_of_each_lane(jump):
+    bits = 3 * jump
+    words = np.array(
+        [0xFEDC_BA98_7654_3210, 0xFFFF_FFFF_FFFF_FFFF, 0, 0x8001_7FFE_0F0F_F0F0],
+        dtype=np.uint64,
+    )
+    # Lanes come out in memory order: least significant first on little-endian hosts.
+    lanes = range(4) if sys.byteorder == "little" else range(3, -1, -1)
+    expected = [(int(w) >> 16 * i) & ((1 << bits) - 1) for w in words for i in lanes]
+    assert chain._cut_codes(words.copy(), bits).tolist() == expected
+    # Every 16-bit lane value once: each code gets exactly 2^16 / 8^j of them.
+    every_lane = np.arange(1 << 16, dtype=np.uint16).view(np.uint64)
+    counts = np.bincount(chain._cut_codes(every_lane, bits), minlength=8**jump)
+    assert counts.tolist() == [(1 << 16) >> bits] * 8**jump
+
+
 def test_scalar_walk_matches_stationary_on_instance_tree(rng):
     # f=2 for (x1) over two variables: nodes () and (1,), height 3,
     # stationary masses (2/3, 1/3).
@@ -316,6 +329,81 @@ def test_estimate_alpha_scalar_chain_on_single_node_instance(rng):
     )
     assert est.value == 0.5  # root mass 1 at height 1
     assert est.root_hit_fraction == 1.0
+
+
+def _spy_on_estimate_alpha(monkeypatch):
+    """Record each walk_batch width and each (m, hits) that draw_hits returns."""
+    widths, draws = [], []
+    walk, alpha = IndexedTree.walk_batch, chain._alpha_from_hits
+
+    def spied_walk(self, n_walkers, steps, rng):
+        widths.append(n_walkers)
+        return walk(self, n_walkers, steps, rng)
+
+    def spied_alpha(height, zeta, delta, draw_hits, steps_per_sample):
+        def recorded(m):
+            hits = draw_hits(m)
+            draws.append((m, hits))
+            return hits
+
+        return alpha(height, zeta, delta, recorded, steps_per_sample)
+
+    monkeypatch.setattr(IndexedTree, "walk_batch", spied_walk)
+    monkeypatch.setattr(chain, "_alpha_from_hits", spied_alpha)
+    return widths, draws
+
+
+@pytest.mark.parametrize("cap", [chain._BATCH_WALKERS, 5000, 1000])
+@pytest.mark.parametrize(
+    "tree",
+    [full_binary_tree(3), ExplicitTree([(), (0,), (1,), (1, 0), (1, 0, 1), (1, 0, 1, 1)])],
+    ids=lambda t: f"height{t.height}",
+)
+def test_estimate_alpha_walks_whole_repetitions_per_batch(tree, cap, monkeypatch, rng):
+    monkeypatch.setattr(chain, "_BATCH_WALKERS", cap)
+    widths, draws = _spy_on_estimate_alpha(monkeypatch)
+    h, zeta, delta = tree.height, 0.1, 0.1
+    params = ChainParams(burn_in_constant=0.1)
+    est = estimate_alpha(tree, h, zeta, delta, params, rng=rng)
+    m, t = sample_size_for(h, zeta), repetitions_for(delta)
+    steps = burn_in_steps(h, default_tv_tolerance(zeta, h), 0.1)
+    assert [d for d, _ in draws] == [m] * t
+    assert all(0 <= hits <= m for _, hits in draws)
+    per_call = max(1, cap // m)
+    assert len(widths) == -(-t // per_call)
+    assert sum(widths) == m * t
+    assert all(w % m == 0 and w <= max(cap, m) for w in widths)
+    assert max(widths) - min(widths) <= m
+    assert (est.samples, est.repetitions) == (m, t)
+    assert est.chain_steps == m * t * steps
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        ExplicitTree([(), (1,)]),
+        ExplicitTree([(), (0,), (1,), (0, 0), (1, 0), (1, 1)]),
+        ExplicitTree([(), (0,), (0, 1), (0, 1, 0)]),
+        ExplicitTree([(), (1,), (1, 0), (1, 1), (1, 1, 0)], height=4),
+    ],
+    ids=lambda t: f"{len(t.nodes)}nodes-height{t.height}",
+)
+def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
+    # Walks of T = 2, 5, 10 and 16 steps end 13-40 sigma away from the
+    # stationary root mass, so this checks the law of exactly T steps,
+    # leftover steps included, not just the limit.
+    _, draws = _spy_on_estimate_alpha(monkeypatch)
+    est = estimate_alpha(
+        tree, tree.height, 0.1, 0.1, ChainParams(burn_in_constant=0.005),
+        rng=np.random.default_rng(4242),
+    )
+    walks = est.samples * est.repetitions
+    steps = est.chain_steps // walks
+    nodes, _ = transition_matrix_exact(tree)
+    root = nodes.index(ROOT)
+    exact = np.linalg.matrix_power(np.array(_exact_matrix(tree), dtype=float), steps)[root, root]
+    mean_fraction = np.mean([hits / m for m, hits in draws])
+    assert abs(mean_fraction - exact) <= 4 * math.sqrt(exact * (1 - exact) / walks)
 
 
 def test_estimate_alpha_validates_parameters(rng):
