@@ -29,8 +29,13 @@ import numpy as np
 
 from . import chain as chain_mod
 from .chain import AlphaEstimate, ChainParams, guard_height
+from .errors import SizeGuardError
 from .machine import InstanceTree, SelfReducibleInstance, build_branching_tree
-from .trees import ROOT, BranchingTree, NodePath, materialize, truncate
+
+# ``materialize`` is no longer called here (enumeration goes through
+# ``iter_nodes``), but it stays a module attribute: the benchmark tracer,
+# benchmarks/tracer.py, patches ``estimator.materialize``.
+from .trees import DEFAULT_MATERIALIZE_GUARD, BranchingTree, materialize, truncate  # noqa: F401
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -143,16 +148,30 @@ def _report(
     )
 
 
-def _exact_root_masses(tree: BranchingTree) -> list[float]:
-    """pi_{S_i}(root) for every depth i, from one materialization."""
-    explicit = chain_mod._as_explicit(tree) or materialize(tree)
+def _depth_counts(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> list[int]:
+    """Number of nodes at each depth 0..height, by one enumeration.
+
+    An oracle-backed tree is walked by ``iter_nodes`` and never stored;
+    past ``max_nodes`` nodes it raises SizeGuardError, as ``materialize``
+    would.
+    """
+    explicit = chain_mod._as_explicit(tree)
+    if explicit is not None:
+        return explicit.depth_counts()
     counts = [0] * (tree.height + 1)
-    for node in explicit.nodes:
+    for seen, node in enumerate(tree.iter_nodes(), start=1):
+        if seen > max_nodes:
+            raise SizeGuardError(f"tree exceeds the materialization guard of {max_nodes} nodes")
         counts[len(node)] += 1
+    return counts
+
+
+def _exact_root_masses(tree: BranchingTree) -> list[float]:
+    """pi_{S_i}(root) for every depth i, from one count of nodes per depth."""
     masses: list[float] = []
     weight = 0  # sum over nodes of depth <= i of 2^(i - depth), updated per level
-    for i in range(tree.height + 1):
-        weight = 2 * weight + counts[i]
+    for i, count in enumerate(_depth_counts(tree)):
+        weight = 2 * weight + count
         masses.append((1 << i) / weight)
     return masses
 
@@ -217,7 +236,8 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
 
 @lru_cache(maxsize=256)
 def _instance_tree(instance: SelfReducibleInstance) -> InstanceTree:
-    # Memoized replay: traversals inside the estimator revisit paths heavily.
+    # Memoized replay: the chain transport's walk asks for the same nodes'
+    # children over and over (whole-tree passes use ``iter_nodes`` instead).
     return build_branching_tree(instance, memoize=True)
 
 
@@ -248,8 +268,10 @@ def count_up_to(
 ) -> CountOutcome:
     """Decide deterministically whether the tree has at most ``threshold`` nodes.
 
-    Depth-first search that stops as soon as threshold+1 nodes are seen,
-    so it never visits more than threshold+1 nodes.
+    Depth-first enumeration (``iter_nodes``) that stops as soon as
+    threshold+1 nodes are seen, so it never visits more than threshold+1
+    nodes; on a machine-backed tree no node's children are advanced after
+    the last node counted.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -257,13 +279,10 @@ def count_up_to(
     if tree.is_empty:
         return ExactCount(0, 0)
     count = 0
-    stack: list[NodePath] = [ROOT]
-    while stack:
-        node = stack.pop()
+    for _ in tree.iter_nodes():
         count += 1
         if count > threshold:
             return ExceedsThreshold(threshold, count)
-        stack.extend(tree.children(node))
     return ExactCount(count, count)
 
 

@@ -13,17 +13,21 @@ with one synthetic final split appended at the end of the rightmost run
 rightmost).  A wrapped machine with f solutions then has f tree nodes and
 f+1 maximal runs.
 
-Replays start from the initial state on every oracle call, keeping the
-oracle pure; an optional memo layer keyed by node path can be enabled
-where the caller guarantees per-worker use.
+The ``children`` oracle replays the machine from its initial state along
+the node's path on every call, keeping the oracle pure; an optional memo
+keyed by node path (enabled where the caller guarantees per-worker use)
+holds each node's split pair, so a node's children are advanced once.
+Whole-tree enumeration goes through ``InstanceTree.iter_nodes`` instead: a
+depth-first walk that keeps every pending node's split pair on its stack,
+so each tree edge costs one advance and no path is ever replayed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import MalformedInstanceError, NotInTreeError
-from .trees import BranchingTree, NodePath
+from .trees import ROOT, BranchingTree, NodePath
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,7 @@ class SelfReducibleInstance:
 _SYNTHETIC_LEAF = object()
 
 
-@dataclass(frozen=True)
-class _Cursor:
+class _Cursor(NamedTuple):
     """A point mid-run: machine state plus wrapper bookkeeping."""
 
     state: Any
@@ -84,55 +87,50 @@ class _Cursor:
     branches_used: int
 
 
-def _advance(instance: SelfReducibleInstance, cur: _Cursor, synthetic: bool):
+def _advance(instance: SelfReducibleInstance, cur: _Cursor):
     """Run until the wrapped machine splits or halts.
 
     Returns ``None`` at a run end, or ``(cursor_if_0, cursor_if_1)`` at a
     split.  The synthetic split fires when the underlying machine halts on
     an all-ones choice prefix (only for nonempty instances).
     """
-    state = cur.state
-    steps = cur.steps_used
+    state, all_ones, steps, branches = cur
     if state is _SYNTHETIC_LEAF:
         return None
+    step, budget = instance.step, instance.step_budget
     while True:
-        if steps > instance.step_budget:
-            raise MalformedInstanceError(
-                f"run exceeded the declared step budget of {instance.step_budget}"
-            )
-        outcome = instance.step(state)
+        if steps > budget:
+            raise MalformedInstanceError(f"run exceeded the declared step budget of {budget}")
+        outcome = step(state)
         steps += 1
         if isinstance(outcome, Deterministic):
             state = outcome.state
             continue
         if isinstance(outcome, Halt):
-            if synthetic and cur.all_ones:
-                if cur.branches_used + 1 > instance.branch_bound:
-                    raise MalformedInstanceError(
-                        f"run exceeded the declared branch bound of {instance.branch_bound}"
-                    )
-                return (
-                    _Cursor(_SYNTHETIC_LEAF, False, steps, cur.branches_used + 1),
-                    _Cursor(_SYNTHETIC_LEAF, True, steps, cur.branches_used + 1),
-                )
-            return None
-        if isinstance(outcome, Branch):
-            if cur.branches_used + 1 > instance.branch_bound:
-                raise MalformedInstanceError(
-                    f"run exceeded the declared branch bound of {instance.branch_bound}"
-                )
-            return (
-                _Cursor(outcome.if_zero, False, steps, cur.branches_used + 1),
-                _Cursor(outcome.if_one, cur.all_ones, steps, cur.branches_used + 1),
+            if not all_ones:
+                return None
+            zero = one = _SYNTHETIC_LEAF
+        elif isinstance(outcome, Branch):
+            zero, one = outcome.if_zero, outcome.if_one
+        else:
+            raise MalformedInstanceError(f"step returned {outcome!r}, not a StepOutcome")
+        branches += 1
+        if branches > instance.branch_bound:
+            raise MalformedInstanceError(
+                f"run exceeded the declared branch bound of {instance.branch_bound}"
             )
-        raise MalformedInstanceError(f"step returned {outcome!r}, not a StepOutcome")
+        return _Cursor(zero, False, steps, branches), _Cursor(one, all_ones, steps, branches)
 
 
 class InstanceTree(BranchingTree):
     """Branching tree of a wrapped machine, given by replay.
 
     Node count equals the instance's solution count; height is declared as
-    the instance's branch bound.
+    the instance's branch bound.  ``children`` replays the node's path
+    from the initial state, or, on a memoized tree, advances the node's
+    memoized split pair and stores the child pairs it finds, so a later
+    query on a child starts from them.  ``iter_nodes`` enumerates the
+    whole tree with one advance per edge and needs no memo.
     """
 
     def __init__(self, instance: SelfReducibleInstance, memoize: bool = False):
@@ -153,17 +151,17 @@ class InstanceTree(BranchingTree):
                 return hit
             if node:
                 parent_pair = self._split_at(node[:-1])
-                pair = _advance(self.instance, parent_pair[node[-1]], synthetic=True)
+                pair = _advance(self.instance, parent_pair[node[-1]])
                 if pair is None:
                     raise NotInTreeError(f"node {node!r} is not in the branching tree")
                 self._memo[node] = pair
                 return pair
         cur = _Cursor(self.instance.initial, True, 0, 0)
-        pair = _advance(self.instance, cur, synthetic=True)
+        pair = _advance(self.instance, cur)
         if pair is None:
             raise NotInTreeError("the branching tree is empty")
         for depth, bit in enumerate(node):
-            pair = _advance(self.instance, pair[bit], synthetic=True)
+            pair = _advance(self.instance, pair[bit])
             if pair is None:
                 raise NotInTreeError(f"node {node[: depth + 1]!r} is not in the branching tree")
         if self._memo is not None:
@@ -173,12 +171,45 @@ class InstanceTree(BranchingTree):
     def children(self, node: NodePath) -> tuple[NodePath, ...]:
         if self.is_empty:
             raise NotInTreeError("the branching tree is empty")
-        pair = self._split_at(tuple(node))
+        node = tuple(node)
+        pair = self._split_at(node)
         out = []
         for b in (0, 1):
-            if _advance(self.instance, pair[b], synthetic=True) is not None:
-                out.append(tuple(node) + (b,))
+            child_pair = _advance(self.instance, pair[b])
+            if child_pair is not None:
+                child = node + (b,)
+                if self._memo is not None:
+                    self._memo[child] = child_pair
+                out.append(child)
         return tuple(out)
+
+    def iter_nodes(self, max_depth: int | None = None) -> Iterator[NodePath]:
+        """Depth-first preorder over the nodes, one machine advance per edge.
+
+        The stack holds every pending node together with its split pair,
+        so a child's pair comes from advancing one cursor of its parent's
+        pair and no path is replayed.  Without ``max_depth`` the cursors
+        of nodes at the declared height are advanced too, so a machine
+        that branches past its bound raises MalformedInstanceError, as
+        ``children`` does; with it, nodes at depth ``max_depth`` are
+        yielded and not advanced.  A node's children are advanced only
+        when the caller asks for the next node, so a caller that stops
+        early pays for no node it did not receive.
+        """
+        if self.is_empty:
+            return
+        instance = self.instance
+        stack = [(ROOT, self._split_at(ROOT))]
+        while stack:
+            node, pair = stack.pop()
+            yield node
+            if max_depth is not None and len(node) >= max_depth:
+                continue
+            low, high = _advance(instance, pair[0]), _advance(instance, pair[1])
+            if high is not None:
+                stack.append((node + (1,), high))
+            if low is not None:
+                stack.append((node + (0,), low))
 
     def __contains__(self, node: NodePath) -> bool:
         if self.is_empty:

@@ -107,7 +107,7 @@ def count_computation_paths(instance: SelfReducibleInstance, max_paths: int = MA
     stack = [_Cursor(instance.initial, True, 0, 0)]
     while stack:
         cur = stack.pop()
-        pair = _advance(instance, cur, synthetic=True)
+        pair = _advance(instance, cur)
         if pair is None:
             paths += 1
             if paths > max_paths:

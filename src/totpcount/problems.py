@@ -170,38 +170,39 @@ def is_instance(g: Graph) -> SelfReducibleInstance:
     )
 
 
-def _term_consistent(term: tuple[int, ...], assigned: tuple[int, ...]) -> bool:
-    for lit in term:
-        var = abs(lit)
-        if var <= len(assigned) and assigned[var - 1] != (1 if lit > 0 else 0):
-            return False
-    return True
-
-
 def dnf_instance(phi: DnfFormula) -> SelfReducibleInstance:
     """Machine counting satisfying assignments of a DNF formula.
 
-    States are prefixes of the assignment in variable order; a prefix has
-    solutions iff some term is consistent with it.
+    A state is (k, mask): the first k variables are assigned, and bit j of
+    mask is set iff term j is consistent with that prefix, so the prefix
+    has solutions iff mask != 0.  Variable k+1 has two precomputed kill
+    masks, the terms that setting it to 0 (its positive literals) or to 1
+    (its negative literals) falsifies; a step clears one of them from the
+    mask for each choice.
     """
     n = phi.n_vars
     terms = phi.terms
-    initial: tuple[int, ...] = ()
+    kill = [[0, 0] for _ in range(n)]  # kill[var - 1][value]
+    for j, term in enumerate(terms):
+        for lit in term:
+            kill[abs(lit) - 1][1 if lit < 0 else 0] |= 1 << j
+    initial = (0, (1 << len(terms)) - 1)
 
-    def decision(assigned: tuple[int, ...]) -> bool:
-        return any(_term_consistent(t, assigned) for t in terms)
+    def decision(state: tuple[int, int]) -> bool:
+        return state[1] != 0
 
-    def step(assigned: tuple[int, ...]) -> StepOutcome:
-        if len(assigned) == n:
+    def step(state: tuple[int, int]) -> StepOutcome:
+        k, mask = state
+        if k == n:
             return HALT
-        low, high = assigned + (0,), assigned + (1,)
-        d0, d1 = decision(low), decision(high)
-        if d0 and d1:
-            return Branch(low, high)
-        if d0:
-            return Deterministic(low)
-        if d1:
-            return Deterministic(high)
+        kill0, kill1 = kill[k]
+        low, high = mask & ~kill0, mask & ~kill1
+        if low and high:
+            return Branch((k + 1, low), (k + 1, high))
+        if low:
+            return Deterministic((k + 1, low))
+        if high:
+            return Deterministic((k + 1, high))
         return HALT
 
     return SelfReducibleInstance(

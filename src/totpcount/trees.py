@@ -5,7 +5,9 @@ height n.  A node is identified purely by the sequence of binary choices
 (0 = left, 1 = right) that reaches it from the root, so implicit trees of
 large height are representable without materializing anything.  Trees are
 exposed through a children oracle; the oracle is pure and read-only, which
-is what makes concurrent sampling sound.
+is what makes concurrent sampling sound.  Whole-tree passes (``materialize``,
+the threshold decider, exact per-depth counts) go through ``iter_nodes``,
+which a tree may implement more cheaply than one oracle call per node.
 
 The empty tree is a first-class value: downstream estimators check
 ``is_empty`` and never run a walk on it.
@@ -47,6 +49,22 @@ class BranchingTree(ABC):
 
     @abstractmethod
     def __contains__(self, node: NodePath) -> bool: ...
+
+    def iter_nodes(self, max_depth: int | None = None) -> Iterator[NodePath]:
+        """Depth-first preorder over the nodes of depth <= ``max_depth``.
+
+        ``None`` means every node.  Children come from ``children``, so
+        an oracle-backed tree pays one oracle call per node; trees that
+        can enumerate more cheaply override this.
+        """
+        if self.is_empty:
+            return
+        stack: list[NodePath] = [ROOT]
+        while stack:
+            node = stack.pop()
+            yield node
+            if max_depth is None or len(node) < max_depth:
+                stack.extend(reversed(self.children(node)))
 
 
 class ExplicitTree(BranchingTree):
@@ -133,6 +151,10 @@ class TruncatedTree(BranchingTree):
     def __contains__(self, node: NodePath) -> bool:
         return len(node) <= self.height and node in self.base
 
+    def iter_nodes(self, max_depth: int | None = None) -> Iterator[NodePath]:
+        cut = self.height if max_depth is None else min(max_depth, self.height)
+        return self.base.iter_nodes(cut)
+
 
 def truncate(tree: BranchingTree, depth: int) -> BranchingTree:
     """The subtree of all nodes of depth <= ``depth``, with height ``depth``."""
@@ -159,11 +181,12 @@ def full_binary_tree(height: int) -> ExplicitTree:
 
 
 def materialize(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> ExplicitTree:
-    """Walk the children oracle breadth-first into an explicit tree.
+    """Enumerate the tree's nodes (``tree.iter_nodes``) into an explicit tree.
 
-    The declared height is preserved so stationary masses computed on the
-    result match the implicit original.  The result is cached on the tree
-    object (oracles are pure, so the walk is repeatable).
+    Raises SizeGuardError as soon as more than ``max_nodes`` nodes are
+    seen.  The declared height is preserved so stationary masses computed
+    on the result match the implicit original.  The result is cached on
+    the tree object (oracles are pure, so the walk is repeatable).
     """
     if tree.is_empty:
         return ExplicitTree((), height=tree.height)
@@ -173,13 +196,10 @@ def materialize(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD)
     if cached is not None:
         return cached
     nodes: list[NodePath] = []
-    queue: deque[NodePath] = deque([ROOT])
-    while queue:
-        node = queue.popleft()
+    for node in tree.iter_nodes():
         nodes.append(node)
         if len(nodes) > max_nodes:
             raise SizeGuardError(f"tree exceeds the materialization guard of {max_nodes} nodes")
-        queue.extend(tree.children(node))
     result = ExplicitTree(nodes, height=tree.height)
     if max_nodes == DEFAULT_MATERIALIZE_GUARD:
         try:
@@ -190,14 +210,8 @@ def materialize(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD)
 
 
 def iter_nodes(tree: BranchingTree) -> Iterator[NodePath]:
-    """Depth-first iteration over all nodes reachable from the root."""
-    if tree.is_empty:
-        return
-    stack: list[NodePath] = [ROOT]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(tree.children(node)))
+    """Depth-first preorder over all nodes of ``tree`` (``tree.iter_nodes()``)."""
+    return tree.iter_nodes()
 
 
 def random_tree(

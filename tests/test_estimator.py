@@ -1,15 +1,23 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from totpcount import (
+    Branch,
+    Deterministic,
     DnfFormula,
     EstimatorConfig,
     ExactCount,
     ExceedsThreshold,
     ExplicitTree,
     Graph,
+    HALT,
+    MalformedInstanceError,
+    SelfReducibleInstance,
     SizeGuardError,
     absolute_error_estimate,
+    build_branching_tree,
     count_sat,
     count_up_to,
     dnf_instance,
@@ -17,10 +25,12 @@ from totpcount import (
     estimate_size,
     full_binary_tree,
     is_instance,
+    materialize,
     random_tree,
     ras,
     telescoped_size,
 )
+from totpcount import estimator
 
 
 def exact_cfg(xi, delta, seed):
@@ -165,6 +175,45 @@ def test_count_up_to_visit_bound(rng):
 def test_count_up_to_rejects_negative_threshold():
     with pytest.raises(ValueError):
         count_up_to(full_binary_tree(1), -1)
+
+
+def _split_every_third_step(state):
+    if state == 12:
+        return HALT
+    return Branch(state + 1, state + 1) if (state + 1) % 3 == 0 else Deterministic(state + 1)
+
+
+MALFORMED = {
+    # Four splits, well within the branch bound, but 13 steps per run.  Each
+    # stretch between splits is 3 steps, within the budget of 8, so only the
+    # step count carried along the whole run exceeds it.
+    "step budget": SelfReducibleInstance(
+        0, _split_every_third_step, lambda s: True, branch_bound=10, step_budget=8
+    ),
+    # Splits forever: advancing the depth-1 nodes makes a third split.
+    "branch bound": SelfReducibleInstance(
+        0, lambda s: Branch(s + 1, s + 1), lambda s: True, branch_bound=2, step_budget=100
+    ),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(MALFORMED))
+def test_malformed_instances_raise_through_enumeration(bound):
+    inst = MALFORMED[bound]
+    with pytest.raises(MalformedInstanceError, match=bound):
+        count_up_to(inst, 100)
+    with pytest.raises(MalformedInstanceError, match=bound):
+        materialize(build_branching_tree(inst))
+    with pytest.raises(MalformedInstanceError, match=bound):
+        estimate_size(build_branching_tree(inst), exact_cfg(0.5, 0.2, 1))
+
+
+def test_exact_transport_depth_count_guard():
+    assert inspect.signature(estimator._depth_counts).parameters["max_nodes"].default == 10**6
+    tree = build_branching_tree(dnf_instance(DnfFormula(7, ((),))))  # 128 nodes
+    assert estimator._depth_counts(tree, max_nodes=128) == [1, 2, 4, 8, 16, 32, 64, 1, 0]
+    with pytest.raises(SizeGuardError):
+        estimator._depth_counts(tree, max_nodes=127)
 
 
 # --- absolute-error scheduling

@@ -1,3 +1,6 @@
+import dataclasses
+from collections import deque
+
 import pytest
 
 from totpcount import (
@@ -17,8 +20,11 @@ from totpcount import (
     dnf_instance,
     is_instance,
     materialize_tree,
+    monotone_instance,
+    truncate,
 )
-from totpcount.generate import random_dnf, random_graph
+from totpcount import machine
+from totpcount.generate import random_dnf, random_graph, random_monotone_circuit
 
 
 def test_dnf_two_solutions_has_two_nodes():
@@ -70,10 +76,79 @@ def test_replay_is_deterministic():
 
 
 def test_memoized_tree_matches_plain(rng):
-    phi = random_dnf(rng, 6, 4)
-    plain = materialize_tree(dnf_instance(phi))
-    memo = materialize_tree(dnf_instance(phi))
-    assert plain.nodes == memo.nodes
+    for _ in range(10):
+        inst = dnf_instance(random_dnf(rng, 6, 4))
+        plain = build_branching_tree(inst)
+        memo = build_branching_tree(inst, memoize=True)
+        for node in sorted(materialize_tree(inst).nodes):
+            assert memo.children(node) == plain.children(node)
+
+
+def _random_instances(rng):
+    for _ in range(8):
+        yield is_instance(random_graph(rng, int(rng.integers(1, 7)), edge_prob=0.4))
+        yield dnf_instance(random_dnf(rng, int(rng.integers(1, 7)), int(rng.integers(0, 5))))
+        yield monotone_instance(
+            random_monotone_circuit(rng, int(rng.integers(1, 7)), int(rng.integers(1, 6)))
+        )
+
+
+def _bfs_nodes(tree):
+    """Reference enumeration: breadth-first through ``children``."""
+    if tree.is_empty:
+        return []
+    nodes, queue = [], deque([()])
+    while queue:
+        node = queue.popleft()
+        nodes.append(node)
+        queue.extend(tree.children(node))
+    return nodes
+
+
+def test_cursor_walk_matches_children_bfs(rng):
+    for inst in _random_instances(rng):
+        for memoize in (False, True):
+            tree = build_branching_tree(inst, memoize=memoize)
+            for depth in [None, *range(tree.height + 1)]:
+                view = tree if depth is None else truncate(tree, depth)
+                walked = list(view.iter_nodes())
+                assert len(walked) == len(set(walked))
+                assert set(walked) == set(_bfs_nodes(view))
+
+
+def test_cursor_walk_is_preorder():
+    tree = build_branching_tree(is_instance(Graph.from_edges(3, [(1, 2)])))
+    walked = list(tree.iter_nodes())
+    assert walked == sorted(walked)
+
+
+def test_memoized_children_advance_each_edge_once(rng, monkeypatch):
+    def counted(inst):
+        calls = [0]
+
+        def step(state):
+            calls[0] += 1
+            return inst.step(state)
+
+        return dataclasses.replace(inst, step=step), calls
+
+    advance, advances = machine._advance, [0]
+
+    def counting_advance(*args):
+        advances[0] += 1
+        return advance(*args)
+
+    monkeypatch.setattr(machine, "_advance", counting_advance)
+    for inst in _random_instances(rng):
+        bfs_inst, bfs_steps = counted(inst)
+        walk_inst, walk_steps = counted(inst)
+        advances[0] = 0
+        n_nodes = len(_bfs_nodes(build_branching_tree(bfs_inst, memoize=True)))
+        bfs_advances, advances[0] = advances[0], 0
+        assert len(list(build_branching_tree(walk_inst).iter_nodes())) == n_nodes
+        assert bfs_steps[0] == walk_steps[0]
+        if n_nodes:
+            assert bfs_advances == advances[0] == 2 * n_nodes + 1
 
 
 def test_path_count_identity_on_random_instances(rng):

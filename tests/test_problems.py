@@ -1,11 +1,15 @@
 import pytest
 
 from totpcount import (
+    HALT,
+    Branch,
     CnfFormula,
+    Deterministic,
     DnfFormula,
     Graph,
     MonotoneCircuit,
     ParseError,
+    SelfReducibleInstance,
     cnf_complement,
     count_independent_sets,
     count_sat,
@@ -124,6 +128,50 @@ def test_adapters_match_bruteforce(rng):
     for _ in range(30):
         c = random_monotone_circuit(rng, int(rng.integers(1, 9)), int(rng.integers(1, 8)))
         assert len(materialize_tree(monotone_instance(c)).nodes) == count_sat(c)
+
+
+def _prefix_dnf_instance(phi: DnfFormula) -> SelfReducibleInstance:
+    """Reference machine: states are assignment prefixes, terms rescanned each step."""
+
+    def decision(assigned):
+        return any(
+            all(abs(lit) > len(assigned) or assigned[abs(lit) - 1] == (lit > 0) for lit in term)
+            for term in phi.terms
+        )
+
+    def step(assigned):
+        if len(assigned) == phi.n_vars:
+            return HALT
+        low, high = assigned + (0,), assigned + (1,)
+        if decision(low) and decision(high):
+            return Branch(low, high)
+        return Deterministic(low if decision(low) else high)
+
+    return SelfReducibleInstance((), step, decision, phi.n_vars + 1, 2 * (phi.n_vars + 2))
+
+
+def test_dnf_masks_give_the_prefix_machines_tree(rng):
+    for _ in range(40):
+        phi = random_dnf(rng, int(rng.integers(1, 8)), int(rng.integers(0, 6)))
+        masks = materialize_tree(dnf_instance(phi))
+        assert masks.nodes == materialize_tree(_prefix_dnf_instance(phi)).nodes
+
+
+def test_dnf_masks_match_bruteforce_at_the_edges(rng):
+    cases = [
+        DnfFormula(4, ()),
+        DnfFormula(0, ()),
+        DnfFormula(0, ((),)),
+        DnfFormula(3, ((),)),
+        # 64 copies of one term, then one that only a 65th mask bit can carry.
+        DnfFormula(3, ((1, 2),) * 64 + ((-1,),)),
+        random_dnf(rng, 9, 70),
+        random_dnf(rng, 9, 130, max_width=4),
+    ]
+    cases += [cnf_complement(random_cnf(rng, int(rng.integers(1, 9)), int(rng.integers(0, 7))))
+              for _ in range(20)]
+    for phi in cases:
+        assert len(materialize_tree(dnf_instance(phi)).nodes) == count_sat(phi)
 
 
 def test_branch_bound_is_n_plus_one(rng):
