@@ -30,8 +30,10 @@ for step in range(3001):
         dist = tv_distance(empirical, pi)
         bar = "#" * int(60 * dist)
         print(f"  step {step:>5}: tv = {dist:.4f} {bar}")
+    # One lazy step: draws 0-3 make the non-lazy move that flat_table
+    # holds for them, draws 4-7 hold.
     draws = rng.integers(0, 8, size=walkers, dtype=np.int64)
-    state = flat[state * 8 + draws]
+    state = np.where(draws < 4, flat[state * 4 + (draws & 3)], state)
 
 print()
 print("=== exact conductance vs the 1/(4(n+1)) bound ===")

@@ -37,7 +37,6 @@ from .estimator import (
     ExceedsThreshold,
     absolute_error_estimate,
     count_up_to,
-    estimate_fraction,
     estimate_size,
     ras,
     telescoped_size,
@@ -50,7 +49,6 @@ from .machine import (
     InstanceTree,
     SelfReducibleInstance,
     build_branching_tree,
-    children_in_tree,
 )
 from .oracles import (
     ConductanceReport,

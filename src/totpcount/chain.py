@@ -7,18 +7,26 @@ proportional to 2^(n - depth) on each node, where n is the tree height;
 the normalizing factor alpha therefore satisfies pi(root) = alpha * 2^n,
 and estimating the root's stationary mass recovers alpha.
 
-Because every transition probability is a multiple of 1/8, one step is
-a table lookup on a uniform draw from {0..7}.  The vectorized walker for
-explicit trees composes that table with itself into a j-step table whose
-columns are the 8^j sequences of j draws, so one gather on a uniform
-3j-bit code moves a walker j steps with exactly the law of j steps (see
-``IndexedTree``).  The codes are the 16-bit lanes of full-range 64-bit
-random words, each masked to its low 3j bits (see ``_advance``).  On an
-explicit tree ``estimate_alpha`` walks all t repetitions of m samples of
-a depth together, in the fewest ``walk_batch`` calls of at most 2^15
-walkers that hold whole repetitions, and splits each call's finals back
-into per-repetition root-hit counts.  The scalar ``lazy_step`` keeps the
-interval form of the same kernel for oracle-backed trees.
+The lazy kernel is P = (I + Q) / 2, where the non-lazy kernel Q moves to
+the parent with probability 1/2 and to each child with probability 1/4
+(a move to the root's parent or to an absent child holds).  By the binomial
+theorem P^T = sum_k C(T, k) 2^-T Q^k, so a walk of T lazy steps has
+exactly the law of k ~ Binomial(T, 1/2) moves of Q.  The vectorized
+walker for explicit trees walks only those moves.  Every Q probability is
+a multiple of 1/4, so one move is a table lookup on a uniform draw from
+{0..3}; the walker composes that table into a j-step table whose columns
+are the 4^j sequences of j draws, so one gather on a uniform 2j-bit code
+makes j moves with exactly the law of Q^j (see ``IndexedTree``).  The
+codes are the 16-bit lanes of full-range 64-bit random words, each
+masked to its low 2j bits (see ``_advance``).  ``walk_batch`` walks the
+walkers sorted by their move counts, so the walkers still moving form
+one contiguous slice at every gather, and shuffles the finals at the end.
+On an explicit tree ``estimate_alpha`` walks all t repetitions of m
+samples of a depth together, in the fewest ``walk_batch`` calls of at
+most 2^15 walkers that hold whole repetitions, and splits each call's
+finals back into per-repetition root-hit counts.  The scalar
+``lazy_step`` keeps the interval form of the lazy kernel for
+oracle-backed trees.
 
 Sample-size rule: estimating pi(root) within a factor (1 +- zeta) with
 failure probability <= 1/4 needs m = ceil(4(n+1)/zeta^2) independent
@@ -74,7 +82,12 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Estimated normalizing factor of the stationary law on one tree."""
+    """Estimated normalizing factor of the stationary law on one tree.
+
+    ``degenerate`` is set when the median root-hit fraction was zero and
+    was replaced by 1/(2m) to keep 1/alpha finite; such an estimate
+    carries no (1 +- zeta) guarantee.
+    """
 
     value: float
     zeta: float
@@ -83,6 +96,7 @@ class AlphaEstimate:
     repetitions: int
     root_hit_fraction: float
     chain_steps: int = 0
+    degenerate: bool = False
 
 
 def default_tv_tolerance(zeta: float, height: int) -> float:
@@ -173,35 +187,42 @@ def transition_matrix_exact(tree: ExplicitTree, lazy: bool = True):
 # block (64 KB).  Larger caps buy little speed and cost resident memory.
 _TABLE_ENTRIES = 1 << 15
 _BLOCK_CODES = 1 << 15
-# A j-step code takes 3j bits and must fit a uint16.
-_MAX_JUMP = 5
+# A j-step code takes 2j bits (one base-4 digit a move) and must fit a
+# uint16 lane.  Under the 2^15-entry cap j reaches 7, at one or two nodes.
+_MAX_JUMP = 8
 # Walkers per walk_batch call when estimate_alpha batches repetitions:
 # wide enough to spread numpy's per-call cost over many walkers, small
-# enough that the state and index arrays (12 bytes a walker) stay small.
+# enough that the walker arrays (16 bytes a walker) stay small.
 _BATCH_WALKERS = 1 << 15
 
 
 class IndexedTree:
     """Array form of an explicit tree for the vectorized walker.
 
-    ``flat_table[8 k + b]`` is the node reached from node k when the step
-    draw is b in {0..7}: draws 0-1 move to the parent (the root holds),
-    draw 2 to the left child, draw 3 to the right child (absent children
-    hold), and draws 4-7 hold.  Each outcome thus has exactly its kernel
+    The lazy kernel is P = (I + Q) / 2: half of its draws hold at every
+    node whatever its children, and the other half make one move of the
+    non-lazy kernel Q, which goes to the parent with probability 1/2 and
+    to each child with probability 1/4 (a move to the root's parent or
+    to an absent child holds).  The walker therefore tables Q only.
+
+    ``flat_table[4 k + b]`` is the node reached from node k by the Q move
+    whose draw is b in {0..3}: draws 0-1 move to the parent (the root
+    holds), draw 2 to the left child and draw 3 to the right child
+    (absent children hold).  Each outcome thus has exactly its Q
     probability.
 
-    ``jump_table[8^j k + c]``, for c in [0, 8^j), is 8^j times the node
-    reached from node k after ``jump`` = j one-step moves whose draws are
-    the base-8 digits of c, most significant first.  Apart from that
-    factor it is ``flat_table`` composed with itself j times.  A uniform c
-    has j independent uniform digits, so an outcome's share of the 8^j
-    columns is exactly its probability under j steps of the walk: row k
-    of the transition matrix to the power j.  The factor 8^j pre-shifts
-    each outcome into the row offset of the next gather, so a walker's
-    next index is its state OR its code (see ``_advance``).
-    j is the largest value up to 5 whose table, K 8^j entries for K nodes,
-    stays within 2^15 entries: j = 5 at a single node, 4 up to 8 nodes,
-    3 up to 64, 2 up to 512; trees above 4096 nodes walk with j = 1.
+    ``jump_table[4^j k + c]``, for c in [0, 4^j), is 4^j times the node
+    reached from node k after ``jump`` = j Q moves whose draws are the
+    base-4 digits of c, most significant first.  Apart from that factor
+    it is ``flat_table`` composed with itself j times.  A uniform c has j
+    independent uniform digits, so an outcome's share of the 4^j columns
+    is exactly its probability under Q^j.  The factor 4^j pre-shifts each
+    outcome into the row offset of the next gather, so a walker's next
+    index is its state OR its code (see ``_advance``).
+    j is the largest value up to 8 whose table, K 4^j entries for K
+    nodes, stays within 2^15 entries: j = 7 up to 2 nodes, 6 up to 8,
+    5 up to 32, 4 up to 128, 3 up to 512, 2 up to 2048; trees above 2048
+    nodes walk with j = 1.
     """
 
     def __init__(self, tree: ExplicitTree):
@@ -210,70 +231,115 @@ class IndexedTree:
         self.nodes = sorted(tree.nodes, key=lambda p: (len(p), p))
         index = {p: i for i, p in enumerate(self.nodes)}
         k = len(self.nodes)
-        table = np.empty((k, 8), dtype=np.int32)
+        table = np.empty((k, 4), dtype=np.int32)
         for i, p in enumerate(self.nodes):
             parent = index[p[:-1]] if p else i
-            left = index.get(p + (0,), i)
-            right = index.get(p + (1,), i)
-            table[i] = (parent, parent, left, right, i, i, i, i)
+            table[i] = (parent, parent, index.get(p + (0,), i), index.get(p + (1,), i))
         self.flat_table = table.ravel()
         self.root = index[ROOT]
         jump, self.jump = table, 1
-        while self.jump < _MAX_JUMP and k * 8 ** (self.jump + 1) <= _TABLE_ENTRIES:
+        while self.jump < _MAX_JUMP and k * 4 ** (self.jump + 1) <= _TABLE_ENTRIES:
             jump = table[jump].reshape(k, -1)
             self.jump += 1
-        self.jump_table = (jump << 3 * self.jump).ravel()
+        self.jump_table = (jump << 2 * self.jump).ravel()
 
     def walk_batch(self, n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-        """Final node indices (int32) of ``n_walkers`` independent walks from the root.
+        """Final node indices (int32) of ``n_walkers`` independent ``steps``-step lazy walks from the root.
 
-        Walks ``steps // jump`` gathers on the j-step table, then the
-        ``steps % jump`` leftover steps on the one-step table.  Every
-        walker moves in each gather, so a call's cost is about
-        ``n_walkers * steps / jump`` gathers plus a fixed numpy cost per
-        gather; ``estimate_alpha`` therefore walks many repetitions per
-        call.  Memory is 4 bytes a walker of state, 8 of gather index and
-        a draw block of 2 bytes a code, max(2^15, ``n_walkers``) codes.
+        Because P = (I + Q) / 2, the binomial theorem gives
+        P^T = sum_k C(T, k) 2^-T Q^k: T lazy steps have exactly the law
+        of k ~ Binomial(T, 1/2) moves of Q.  So each walker draws its own
+        k and walks q = k // j gathers on the j-step table, then
+        r = k % j moves on the one-step table.  Every walker starts at
+        the root, so the move counts can be sorted without carrying any
+        state along.  Walked in that order, the walkers still moving at
+        each gather are a suffix of the state, and those of one q that
+        still owe an s-th leftover move are one contiguous slice.  A
+        final ``rng.shuffle`` makes the walkers exchangeable again, so
+        any fixed split of the result into rows gives independent rows.
+
+        A call costs about ``n_walkers * steps / (2 j)`` gathered entries
+        plus a fixed numpy cost per gather; ``estimate_alpha`` therefore
+        walks many repetitions per call.  Memory is 4 bytes a walker of
+        state, 4 of move counts, 8 of gather index and a draw block of
+        2 bytes a code, max(2^15, ``n_walkers``) codes.
         """
         state = np.full(n_walkers, self.root, dtype=np.int32)
+        if not (n_walkers and steps):
+            return state
+        j = self.jump
+        moves = _sorted_moves(n_walkers, steps, rng)
+        low, high = int(moves[0]) // j, int(moves[-1]) // j
+        # edges[x] is the number of walkers with fewer than low j + x moves.
+        edges = np.searchsorted(
+            moves, np.arange(low * j, (high + 1) * j + 1, dtype=np.int32)
+        ).tolist()
+        # Free the move counts before the gather index is allocated.
+        del moves
         index = np.empty(n_walkers, dtype=np.intp)
-        _advance(state, index, self.jump_table, self.jump, steps // self.jump, rng)
-        _advance(state, index, self.flat_table << 3, 1, steps % self.jump, rng)
+        # Gather g moves the walkers with more than g full gathers.
+        full = ((edges[max(0, g + 1 - low) * j], n_walkers) for g in range(high))
+        _advance(state, index, self.jump_table, 2 * j, full, rng)
+        leftover = (
+            (edges[(q - low) * j + s], edges[(q - low + 1) * j])
+            for q in range(low, high + 1)
+            for s in range(1, j)
+        )
+        _advance(state, index, self.flat_table << 2, 2, leftover, rng)
+        rng.shuffle(state)
         return state
 
 
-def _advance(state, index, table, jump, gathers, rng) -> None:
-    """Move every walker in ``state`` by ``gathers`` lookups of a ``jump``-step table.
+def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """Q-move counts of ``n_walkers`` lazy walks of ``steps`` steps, sorted (int32).
 
-    ``table`` holds each outcome pre-shifted by 3 ``jump`` bits (8^jump
-    times its node).  While it walks, ``state`` holds shifted nodes, so one
-    ``bitwise_or`` with a 3j-bit code forms the gather index 8^j k + c.
-    The index is ``np.intp`` and the state stays int32: ``np.take``
-    converts any other index to ``intp`` first, which made a gather about
-    1.6x slower with an int32 index.
-
-    Codes are drawn in blocks of whole rows, one code per walker and at
-    least one row, up to ``_BLOCK_CODES`` codes, as full-range uint64
-    words cut into uint16 lanes by ``_cut_codes``.  That is a quarter of
-    a 64-bit draw per code: about 1.6 ns, against 6 ns for a bounded
-    uint16 draw (2-core Xeon, numpy 2.4).
+    Each count is Binomial(steps, 1/2).  They are drawn in chunks of at
+    most 2^13 (64 KB of int64 draws) into one int32 buffer, sorted in
+    place.
     """
-    n = len(state)
-    if not (gathers and n):
-        return
-    bits = 3 * jump
-    rows = max(1, _BLOCK_CODES // n)
+    moves = np.empty(n_walkers, dtype=np.int32)
+    chunk = _BLOCK_CODES // 4
+    for start in range(0, n_walkers, chunk):
+        part = moves[start : start + chunk]
+        part[...] = rng.binomial(steps, 0.5, size=len(part))
+    moves.sort()
+    return moves
+
+
+def _advance(state, index, table, bits, slices, rng) -> None:
+    """Move ``state[lo:hi]`` by one lookup of ``table`` for each (lo, hi) in ``slices``.
+
+    ``table`` holds each outcome pre-shifted by ``bits`` = 2j bits for a
+    j-move table (4^j times its node).  While it walks, ``state`` holds
+    shifted nodes, so one ``bitwise_or`` with a 2j-bit code forms the
+    gather index 4^j k + c.  The index is ``np.intp`` and the state stays
+    int32: ``np.take`` converts any other index to ``intp`` first, which
+    made a gather about 1.6x slower with an int32 index.  Slices are
+    views, so a gather allocates nothing.
+
+    Codes are drawn in blocks of at least ``_BLOCK_CODES`` and of at
+    least the widest slice they serve, as full-range uint64 words cut
+    into uint16 lanes by ``_cut_codes``; a slice wider than what is left
+    of a block starts a new block.  That is a quarter of a 64-bit draw
+    per code: about 1.6 ns, against 6 ns for a bounded uint16 draw
+    (2-core Xeon, numpy 2.4).
+    """
     state <<= bits
-    for start in range(0, gathers, rows):
-        block = min(rows, gathers - start) * n
-        words = rng.integers(0, 1 << 64, size=-(-block // 4), dtype=np.uint64)
-        for row in _cut_codes(words, bits)[:block].reshape(-1, n):
-            np.bitwise_or(state, row, out=index)
-            # Every index is in range, so the mode changes no result;
-            # "wrap" gathered fastest and, like "clip", needs no bounds buffer.
-            np.take(table, index, out=state, mode="wrap")
-        # Free this block before the next one is drawn.
-        del words, row
+    codes, used = np.empty(0, dtype=np.uint16), 0
+    for lo, hi in slices:
+        width = hi - lo
+        if not width:
+            continue
+        if used + width > len(codes):
+            # Free the spent block before the next one is drawn.
+            codes, used = None, 0
+            words = -(-max(width, _BLOCK_CODES) // 4)
+            codes = _cut_codes(rng.integers(0, 1 << 64, size=words, dtype=np.uint64), bits)
+        np.bitwise_or(state[lo:hi], codes[used : used + width], out=index[lo:hi])
+        # Every index is in range, so the mode changes no result;
+        # "wrap" gathered fastest and, like "clip", needs no bounds buffer.
+        np.take(table, index[lo:hi], out=state[lo:hi], mode="wrap")
+        used += width
     state >>= bits
 
 
@@ -283,8 +349,8 @@ def _cut_codes(words: np.ndarray, bits: int) -> np.ndarray:
     Works in place: the result is a view of ``words``.  Each bit of a
     full-range uniform word is an independent fair bit, so the low
     ``bits`` bits of every lane are exactly uniform on [0, 2^bits) and
-    independent of all other lanes.  Hence each code is uniform, its base-8
-    digits are independent uniform step draws, and the j-step law is
+    independent of all other lanes.  Hence each code is uniform, its base-4
+    digits are independent uniform move draws, and the j-move law is
     exact, with no rejection and no bias.  (A generator's raw output is
     not used directly: some generators emit 32-bit raw values.)
     """
@@ -323,9 +389,10 @@ def _batched_root_hits(
     ``_BATCH_WALKERS`` walkers each that hold whole repetitions, sized
     evenly (their repetition counts differ by at most one); a repetition
     wider than the cap walks alone.  Each call's finals are read as one
-    row of m walkers per repetition.  Walkers are independent, so the
-    rows are independent repetitions, as one call per repetition would
-    give.  Batches are walked lazily, as their counts are asked for.
+    row of m walkers per repetition.  Walkers are independent and
+    ``walk_batch`` returns them in uniformly random order, so the rows
+    are independent repetitions, as one call per repetition would give.
+    Batches are walked lazily, as their counts are asked for.
     """
     calls = -(-t // max(1, _BATCH_WALKERS // m))
     base, extra = divmod(t, calls)
@@ -345,7 +412,8 @@ def _alpha_from_hits(
     t = repetitions_for(delta)
     fractions = [draw_hits(m) / m for _ in range(t)]
     p_hat = float(np.median(fractions))
-    if p_hat <= 0.0:
+    degenerate = p_hat <= 0.0
+    if degenerate:
         # Keeps the reciprocal finite; under the sample-size rule the median
         # of root-hit fractions is zero only with negligible probability.
         p_hat = 1.0 / (2.0 * m)
@@ -357,6 +425,7 @@ def _alpha_from_hits(
         repetitions=t,
         root_hit_fraction=p_hat,
         chain_steps=m * t * steps_per_sample,
+        degenerate=degenerate,
     )
 
 

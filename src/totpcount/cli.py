@@ -81,6 +81,7 @@ def _report_fields(report) -> dict:
         "steps": report.total_chain_steps,
         "samples": report.total_samples,
         "mode": report.mode,
+        "degenerate_depths": report.degenerate_depths,
     }
 
 

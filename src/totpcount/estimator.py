@@ -74,6 +74,8 @@ class EstimateReport:
     ``size_estimate`` is the raw telescoped value and may be negative or
     exceed the node-count ceiling; ``size_clamped`` rounds and clamps it.
     ``fraction`` is size_estimate / 2^height, unclamped.
+    ``degenerate_depths`` counts the depths whose estimate fell back to
+    1/(2m) root hits (``AlphaEstimate.degenerate``).
     """
 
     size_estimate: float
@@ -89,6 +91,7 @@ class EstimateReport:
     transport: str
     mode: str
     wall_time_s: float
+    degenerate_depths: int = 0
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,7 @@ def _report(
         transport=config.transport,
         mode=mode,
         wall_time_s=time.perf_counter() - t0,
+        degenerate_depths=sum(a.degenerate for a in alphas),
     )
 
 
@@ -245,21 +249,6 @@ def _tree_of(source: BranchingTree | SelfReducibleInstance) -> BranchingTree:
     if isinstance(source, SelfReducibleInstance):
         return _instance_tree(source)
     return source
-
-
-def estimate_fraction(
-    source: BranchingTree | SelfReducibleInstance,
-    xi: float,
-    delta: float,
-    seed: int,
-    chain: ChainParams = ChainParams(),
-    transport: str = "chain",
-    workers: int = 1,
-) -> float:
-    """Estimate size / 2^height within +- xi, clamped into [0, 1]."""
-    config = EstimatorConfig(xi, delta, seed, chain, transport, workers)
-    report = estimate_size(_tree_of(source), config)
-    return min(max(report.fraction, 0.0), 1.0)
 
 
 def count_up_to(

@@ -228,8 +228,3 @@ def build_branching_tree(instance: SelfReducibleInstance, memoize: bool = False)
     run is ever replayed.
     """
     return InstanceTree(instance, memoize=memoize)
-
-
-def children_in_tree(instance: SelfReducibleInstance, node: NodePath) -> tuple[NodePath, ...]:
-    """Children oracle as a free function over the bare instance."""
-    return InstanceTree(instance).children(node)

@@ -209,11 +209,6 @@ def materialize(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD)
     return result
 
 
-def iter_nodes(tree: BranchingTree) -> Iterator[NodePath]:
-    """Depth-first preorder over all nodes of ``tree`` (``tree.iter_nodes()``)."""
-    return tree.iter_nodes()
-
-
 def random_tree(
     rng: np.random.Generator,
     height: int,

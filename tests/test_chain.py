@@ -159,20 +159,21 @@ def test_indexed_walker_matches_stationary(rng):
     assert tv_distance(empirical, stationary_exact(tree)) < 0.035
 
 
-def _exact_matrix(tree):
-    nodes, rows = transition_matrix_exact(tree)
+def _exact_matrix(tree, lazy=True):
+    nodes, rows = transition_matrix_exact(tree, lazy=lazy)
     return [[row.get(q, Fraction(0)) for q in nodes] for row in rows]
 
 
-def _exact_power(tree, j):
+def _matmul(a, b):
+    return [[sum((x * b[m][c] for m, x in enumerate(row)), Fraction(0)) for c in range(len(b))] for row in a]
+
+
+def _exact_power(tree, j, lazy=True):
     """The transition matrix to the power j, in exact rationals."""
-    step = _exact_matrix(tree)
+    step = _exact_matrix(tree, lazy)
     power = step
     for _ in range(j - 1):
-        power = [
-            [sum((x * step[m][c] for m, x in enumerate(row)), Fraction(0)) for c in range(len(step))]
-            for row in power
-        ]
+        power = _matmul(power, step)
     return power
 
 
@@ -187,29 +188,57 @@ SMALL_TREES = [
 ]
 
 
-@pytest.mark.parametrize("jump", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("tree", SMALL_TREES, ids=lambda t: f"{len(t.nodes)}nodes")
+def test_lazy_steps_are_binomially_many_non_lazy_moves(tree):
+    # P^T = sum_k C(T, k) 2^-T Q^k, exactly, for the lazy kernel P = (I + Q) / 2.
+    lazy, moves = _exact_matrix(tree), _exact_matrix(tree, lazy=False)
+    size = len(lazy)
+    identity = [[Fraction(int(r == c)) for c in range(size)] for r in range(size)]
+    lazy_power, move_powers = identity, [identity]
+    for steps in range(1, 13):
+        lazy_power = _matmul(lazy_power, lazy)
+        move_powers.append(_matmul(move_powers[-1], moves))
+        thinned = [
+            [
+                sum(
+                    (Fraction(math.comb(steps, k), 2**steps) * q[r][c] for k, q in enumerate(move_powers)),
+                    Fraction(0),
+                )
+                for c in range(size)
+            ]
+            for r in range(size)
+        ]
+        assert thinned == lazy_power
+
+
+@pytest.mark.parametrize("jump", range(1, chain._MAX_JUMP + 1))
 @pytest.mark.parametrize("tree", SMALL_TREES, ids=lambda t: f"{len(t.nodes)}nodes")
 def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
     k = len(tree.nodes)
-    monkeypatch.setattr(chain, "_TABLE_ENTRIES", k * 8**jump)
+    monkeypatch.setattr(chain, "_TABLE_ENTRIES", k * 4**jump)
     indexed = IndexedTree(tree)
     assert indexed.jump == jump
-    # Entries are pre-shifted: 8^j times the node reached.
-    outcomes = indexed.jump_table.reshape(k, 8**jump) >> 3 * jump
-    for row, exact in zip(outcomes, _exact_power(tree, jump)):
+    # Entries are pre-shifted: 4^j times the node reached.
+    outcomes = indexed.jump_table.reshape(k, 4**jump) >> 2 * jump
+    if jump == 1:
+        assert np.array_equal(outcomes.ravel(), indexed.flat_table)
+    for row, exact in zip(outcomes, _exact_power(tree, jump, lazy=False)):
         counts = np.bincount(row, minlength=k)
-        assert [Fraction(int(c), 8**jump) for c in counts] == exact
+        assert [Fraction(int(c), 4**jump) for c in counts] == exact
 
 
 @pytest.mark.parametrize(
     "tree, jump",
     [
-        (ExplicitTree([()]), 5),
-        (ExplicitTree([(), (1,)]), 4),
-        (SMALL_TREES[-1], 4),
-        (ExplicitTree(full_binary_tree(2).nodes | {(0, 0, 0), (0, 0, 1)}), 3),
-        (full_binary_tree(5), 3),
-        (full_binary_tree(6), 2),
+        (ExplicitTree([()]), 7),
+        (ExplicitTree([(), (1,)]), 7),
+        (SMALL_TREES[-1], 6),
+        (ExplicitTree(full_binary_tree(2).nodes | {(0, 0, 0), (0, 0, 1)}), 5),
+        (full_binary_tree(4), 5),
+        (full_binary_tree(5), 4),
+        (full_binary_tree(6), 4),
+        (full_binary_tree(8), 3),
+        (full_binary_tree(10), 2),
         (full_binary_tree(12), 1),
     ],
     ids=lambda x: str(x) if isinstance(x, int) else f"{len(x.nodes)}nodes",
@@ -217,7 +246,7 @@ def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
 def test_jump_length_follows_the_table_cap(tree, jump):
     indexed = IndexedTree(tree)
     assert indexed.jump == jump
-    assert indexed.jump_table.size == len(tree.nodes) * 8**jump
+    assert indexed.jump_table.size == len(tree.nodes) * 4**jump
 
 
 def _walk_law_distance(tree, walkers, steps, rng):
@@ -234,12 +263,25 @@ def test_walk_batch_zero_steps_stays_at_root(rng):
     assert np.array_equal(indexed.walk_batch(50, 0, rng), np.full(50, indexed.root))
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 6, 7])
-def test_walk_batch_leftover_steps(steps, rng):
-    # Four steps per gather here, so each of these walks leftover steps.
+@pytest.mark.parametrize("steps", [1, 2, 3, 6, 7, 13, 20])
+def test_walk_batch_leftover_steps(steps, rng, monkeypatch):
+    # Six moves per gather here, so every walker whose binomial move count
+    # is not a multiple of six makes leftover moves.
     tree = full_binary_tree(1)
-    assert IndexedTree(tree).jump == 4
+    assert IndexedTree(tree).jump == 6
+    drawn = []
+    sorted_moves = chain._sorted_moves
+
+    def recorded(*args):
+        drawn.append(sorted_moves(*args).copy())
+        return drawn[-1]
+
+    monkeypatch.setattr(chain, "_sorted_moves", recorded)
     assert _walk_law_distance(tree, 100_000, steps, rng) < 0.01
+    (moves,) = drawn
+    assert np.count_nonzero(moves % 6) > 0
+    if steps >= 13:
+        assert np.count_nonzero((moves >= 6) & (moves % 6 > 0)) > 0
 
 
 def test_walk_batch_single_node_tree(rng):
@@ -253,13 +295,28 @@ def test_walk_batch_wider_than_a_draw_block(rng):
 
 
 def test_walk_batch_spans_several_draw_blocks(rng):
-    # 1000 walkers take 32 gathers per block; 101 gathers need four blocks.
+    # 1000 walkers take 32 gathers per block.  Six moves a gather out of
+    # about 203 moves a walker make some 34 gathers: two blocks.
     assert _walk_law_distance(full_binary_tree(2), 1000, 4 * 101 + 3, rng) < 0.05
 
 
-@pytest.mark.parametrize("jump", [1, 2, 3, 4, 5])
+def test_walk_batch_rows_are_exchangeable(rng):
+    # The walkers are walked sorted by their number of moves, so without
+    # the final shuffle the first row would hold the fewest-move walks and
+    # the last row the most.  Each row must have the T-step law instead.
+    tree = ExplicitTree([(), (0,), (0, 1), (0, 1, 0)])
+    steps, rows, width = 8, 8, 20_000
+    indexed = IndexedTree(tree)
+    finals = indexed.walk_batch(rows * width, steps, rng).reshape(rows, width)
+    exact = float(_exact_power(tree, steps)[indexed.root][indexed.root])
+    sigma = math.sqrt(exact * (1 - exact) / width)
+    for row in (finals[0], finals[-1]):
+        assert abs(np.mean(row == indexed.root) - exact) <= 4 * sigma
+
+
+@pytest.mark.parametrize("jump", range(1, chain._MAX_JUMP + 1))
 def test_cut_codes_are_the_low_bits_of_each_lane(jump):
-    bits = 3 * jump
+    bits = 2 * jump
     words = np.array(
         [0xFEDC_BA98_7654_3210, 0xFFFF_FFFF_FFFF_FFFF, 0, 0x8001_7FFE_0F0F_F0F0],
         dtype=np.uint64,
@@ -268,10 +325,10 @@ def test_cut_codes_are_the_low_bits_of_each_lane(jump):
     lanes = range(4) if sys.byteorder == "little" else range(3, -1, -1)
     expected = [(int(w) >> 16 * i) & ((1 << bits) - 1) for w in words for i in lanes]
     assert chain._cut_codes(words.copy(), bits).tolist() == expected
-    # Every 16-bit lane value once: each code gets exactly 2^16 / 8^j of them.
+    # Every 16-bit lane value once: each code gets exactly 2^16 / 4^j of them.
     every_lane = np.arange(1 << 16, dtype=np.uint16).view(np.uint64)
-    counts = np.bincount(chain._cut_codes(every_lane, bits), minlength=8**jump)
-    assert counts.tolist() == [(1 << 16) >> bits] * 8**jump
+    counts = np.bincount(chain._cut_codes(every_lane, bits), minlength=4**jump)
+    assert counts.tolist() == [(1 << 16) >> bits] * 4**jump
 
 
 def test_scalar_walk_matches_stationary_on_instance_tree(rng):

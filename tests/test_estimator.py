@@ -21,7 +21,6 @@ from totpcount import (
     count_sat,
     count_up_to,
     dnf_instance,
-    estimate_fraction,
     estimate_size,
     full_binary_tree,
     is_instance,
@@ -30,7 +29,7 @@ from totpcount import (
     ras,
     telescoped_size,
 )
-from totpcount import estimator
+from totpcount import cli, estimator
 
 
 def exact_cfg(xi, delta, seed):
@@ -134,19 +133,42 @@ def test_sample_count_scales_inverse_quadratically():
 
 
 def test_fraction_of_empty_instance_is_zero():
-    assert estimate_fraction(dnf_instance(DnfFormula(2, ())), 0.1, 0.1, 1) == 0.0
+    tree = build_branching_tree(dnf_instance(DnfFormula(2, ())))
+    assert estimate_size(tree, EstimatorConfig(0.1, 0.1, 1)).fraction == 0.0
 
 
 def test_fraction_of_dnf_instance(rng):
-    phi = DnfFormula(2, ((1,),))
-    p_hat = estimate_fraction(dnf_instance(phi), 0.05, 0.1, 11, transport="exact")
+    tree = build_branching_tree(dnf_instance(DnfFormula(2, ((1,),))))
+    p_hat = estimate_size(tree, exact_cfg(0.05, 0.1, 11)).fraction
     assert abs(p_hat - 2 / 8) <= 0.05  # machine height is 3, so p = f / 2^3
 
 
 def test_fraction_clamps_for_explicit_trees():
     fb = full_binary_tree(6)  # 127 nodes, fraction 127/64 before clamping
-    p_hat = estimate_fraction(fb, 0.05, 0.1, 5, transport="exact")
-    assert p_hat == 1.0
+    report = estimate_size(fb, exact_cfg(0.05, 0.1, 5))
+    assert abs(report.fraction - 127 / 64) <= 0.05
+    assert cli._report_fields(report)["fraction_clamped"] == 1.0
+
+
+class _NoRootHits:
+    """Stands in for a depth's generator: every binomial draw is 0 hits."""
+
+    def binomial(self, n, p):
+        return 0
+
+
+def test_zero_root_hits_are_flagged_degenerate(monkeypatch):
+    sampled = estimate_size(full_binary_tree(3), exact_cfg(0.5, 0.2, 1))
+    assert sampled.degenerate_depths == 0
+    assert not any(a.degenerate for a in sampled.alpha_estimates)
+    monkeypatch.setattr(estimator, "derived_rng", lambda seed, *key: _NoRootHits())
+    report = estimate_size(full_binary_tree(3), exact_cfg(0.5, 0.2, 1))
+    assert [a.degenerate for a in report.alpha_estimates] == [False, True, True, True]
+    assert report.degenerate_depths == 3
+    assert cli._report_fields(report)["degenerate_depths"] == 3
+    for i, a in enumerate(report.alpha_estimates[1:], start=1):
+        assert a.root_hit_fraction == 1 / (2 * a.samples)
+        assert a.value == a.root_hit_fraction * 2.0**-i
 
 
 # --- threshold decider

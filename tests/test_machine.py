@@ -13,7 +13,6 @@ from totpcount import (
     NotInTreeError,
     SelfReducibleInstance,
     build_branching_tree,
-    children_in_tree,
     count_computation_paths,
     count_independent_sets,
     count_sat,
@@ -51,19 +50,19 @@ def test_children_of_path_graph_root_reach_full_count():
     inst = is_instance(g)
     tree = materialize_tree(inst)
     assert len(tree.nodes) == 4 == count_independent_sets(g)
-    kids = children_in_tree(inst, ())
+    kids = build_branching_tree(inst).children(())
     assert kids  # the root of a 4-node tree must branch somewhere below
 
 
 def test_single_solution_dnf_root_is_leaf():
     inst = dnf_instance(DnfFormula(2, ((1, 2),)))
-    assert children_in_tree(inst, ()) == ()
+    assert build_branching_tree(inst).children(()) == ()
 
 
 def test_synthetic_branch_children_halt():
     # f=2 for (x1) on two variables: nodes are () and the synthetic (1,).
     inst = dnf_instance(DnfFormula(2, ((1,),)))
-    assert children_in_tree(inst, (1,)) == ()
+    assert build_branching_tree(inst).children((1,)) == ()
 
 
 def test_replay_is_deterministic():

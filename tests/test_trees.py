@@ -12,7 +12,6 @@ from totpcount import (
     save_tree,
     truncate,
 )
-from totpcount.trees import iter_nodes
 
 
 def test_children_full_binary_root():
@@ -100,7 +99,7 @@ def test_materialize_preserves_declared_height():
 
 def test_iter_nodes_covers_everything(rng):
     tree = random_tree(rng, 5, child_prob=0.6)
-    assert set(iter_nodes(tree)) == tree.nodes
+    assert set(tree.iter_nodes()) == tree.nodes
 
 
 def test_random_tree_is_prefix_closed_and_tall(rng):
