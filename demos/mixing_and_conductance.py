@@ -15,7 +15,7 @@ rng = np.random.default_rng(31)
 
 print("=== TV decay on a random tree of height 6 ===")
 tree = random_tree(rng, 6, child_prob=0.55, max_nodes=60)
-print(f"{len(tree.nodes)} nodes; burn-in budget for tv 0.02: "
+print(f"{len(tree.nodes)} nodes; burn-in budget for root deviation 0.02: "
       f"{burn_in_steps(6, 0.02)} steps")
 indexed = IndexedTree(tree)
 pi = stationary_exact(tree)

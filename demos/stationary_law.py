@@ -32,8 +32,8 @@ print()
 print("=== random tree of height 5, walk vs exact law ===")
 tree = random_tree(rng, 5, child_prob=0.6, max_nodes=40)
 print(f"  {len(tree.nodes)} nodes")
-steps = burn_in_steps(tree.height, tv_tolerance=0.01)
-print(f"  burn-in for tv 0.01: {steps} steps")
+steps = burn_in_steps(tree.height, root_deviation=0.01)
+print(f"  burn-in for root deviation 0.01: {steps} steps")
 indexed = IndexedTree(tree)
 finals = indexed.walk_batch(50_000, steps, rng)
 freq = np.bincount(finals, minlength=len(indexed.nodes)) / len(finals)

@@ -13,7 +13,6 @@ target over assignments is mapped onto the machine fraction by the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .chain import ChainParams
 from .errors import UnsupportedFamilyError
@@ -59,13 +58,6 @@ def _direct_instance(circuit: CircuitInput):
     )
 
 
-@lru_cache(maxsize=256)
-def _machine_for(circuit: CircuitInput):
-    """Branching tree per circuit, cached so repeated runs share replays."""
-    instance, n_inputs, route = _direct_instance(circuit)
-    return build_branching_tree(instance, memoize=True), n_inputs, route
-
-
 def capp(
     circuit: CircuitInput,
     epsilon: float = DEFAULT_EPSILON,
@@ -73,7 +65,6 @@ def capp(
     seed: int = 0,
     chain: ChainParams = ChainParams(),
     transport: str = "chain",
-    workers: int = 1,
 ) -> CappResult:
     """Estimate Pr over uniform inputs that the circuit accepts, within epsilon.
 
@@ -84,11 +75,14 @@ def capp(
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    tree, n_inputs, route = _machine_for(circuit)
+    instance, n_inputs, route = _direct_instance(circuit)
+    # Memoized replay, for this call only: the chain walk asks for the
+    # same nodes' children over and over.
+    tree = build_branching_tree(instance, memoize=True)
     # Additive epsilon over 2^n assignments needs xi = epsilon * 2^(n - height)
     # on the machine fraction (height = n + 1 here).
     xi = epsilon * 2.0 ** (n_inputs - tree.height)
-    config = EstimatorConfig(xi, delta, seed, chain, transport, workers)
+    config = EstimatorConfig(xi, delta, seed, chain, transport)
     report = estimate_size(tree, config)
     q_hat = min(max(report.size_estimate / 2.0**n_inputs, 0.0), 1.0)
     p_hat = 1.0 - q_hat if route == "complement" else q_hat
@@ -108,7 +102,6 @@ def gap_csat(
     seed: int = 0,
     chain: ChainParams = ChainParams(),
     transport: str = "chain",
-    workers: int = 1,
 ) -> GapVerdict:
     """Decide the promise problem: zero solutions, or more than rho * 2^n.
 
@@ -118,5 +111,5 @@ def gap_csat(
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    result = capp(circuit, rho / 2.0, delta, seed, chain, transport, workers)
+    result = capp(circuit, rho / 2.0, delta, seed, chain, transport)
     return GapVerdict(satisfiable=result.p_hat > rho / 2.0, rho=rho, p_hat=result.p_hat)

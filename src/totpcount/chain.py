@@ -44,38 +44,24 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import SizeGuardError
-from .trees import (
-    ROOT,
-    BranchingTree,
-    ExplicitTree,
-    NodePath,
-    TruncatedTree,
-    materialize,
-)
+from .trees import ROOT, BranchingTree, ExplicitTree, NodePath, TruncatedTree
 
-TRANSPORTS = ("chain", "exact")
+# ``materialize`` is not called here, but it stays a module attribute: the
+# benchmark tracer, benchmarks/tracer.py, patches ``chain.materialize``.
+from .trees import materialize  # noqa: F401
 
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Knobs of the walk: target deviation from stationarity and burn-in slack.
+    """Knob of the walk: the constant C of the burn-in bound (``burn_in_steps``).
 
-    ``tv_tolerance`` is the allowed total-variation deviation of a sample
-    from the stationary law.  The two entry points fill it differently:
-    ``estimate_alpha`` uses it when set and otherwise derives
-    zeta / (8 (n+1)) from its accuracy target (``default_tv_tolerance``);
-    ``estimator.estimate_size`` always replaces it with zeta / (1 + zeta)
-    for its per-depth zeta, whatever the caller set.
-    ``burn_in_constant`` is the unspecified constant of the
-    conductance-based mixing bound.
+    C = 2 is the value the derivation gives; smaller values walk shorter
+    burn-ins with no guarantee.
     """
 
-    tv_tolerance: float | None = None
     burn_in_constant: float = 2.0
 
     def __post_init__(self):
-        if self.tv_tolerance is not None and not 0 < self.tv_tolerance < 1:
-            raise ValueError("tv_tolerance must lie in (0, 1)")
         if self.burn_in_constant <= 0:
             raise ValueError("burn_in_constant must be positive")
 
@@ -99,31 +85,31 @@ class AlphaEstimate:
     degenerate: bool = False
 
 
-def default_tv_tolerance(zeta: float, height: int) -> float:
-    """Deviation small enough to be absorbed into the relative target zeta."""
-    return zeta / (8 * (height + 1))
+def burn_in_steps(height: int, root_deviation: float, constant: float = 2.0) -> int:
+    """Lazy steps T after which |P^T(r, r) / pi(r) - 1| <= eps = ``root_deviation`` at the root r.
 
-
-def burn_in_steps(height: int, tv_tolerance: float, constant: float = 2.0) -> int:
-    """Steps until the walk from the root is within ``tv_tolerance`` of stationary.
-
-    Conductance of the lazy walk is at least 1/(4(n+1)) and the root's
-    stationary mass at least 1/(n+1), giving
-    T = ceil(C * 16 (n+1)^2 * (ln(n+1) + ln(1/tv))).  On a single node the
-    distribution is already exact, so T = 0.
+    Derivation, for height n: the lazy walk is reversible with
+    eigenvalues in [0, 1], so |P^t(r, r) / pi(r) - 1| <= e^(-gap t) / pi(r);
+    its conductance Phi >= 1/(4(n+1)) gives gap >= Phi^2 / 2 >= 1/(32(n+1)^2)
+    (Cheeger); and pi(r) >= 1/(n+1), as each of the n+1 depths weighs at
+    most 2^n.  So T = ceil(C * 16 (n+1)^2 * (ln(n+1) + ln(1/eps))) meets
+    eps at C = 2, the default: the constant is derived, not free.  On a
+    single node T = 0.
     """
     if height < 0:
         raise ValueError("height must be nonnegative")
-    if not 0 < tv_tolerance < 1:
-        raise ValueError("tv_tolerance must lie in (0, 1)")
+    if not 0 < root_deviation < 1:
+        raise ValueError("root_deviation must lie in (0, 1)")
     if constant <= 0:
         raise ValueError("constant must be positive")
     if height == 0:
         return 0
     n1 = height + 1
-    return math.ceil(constant * 16 * n1 * n1 * (math.log(n1) + math.log(1.0 / tv_tolerance)))
+    return math.ceil(constant * 16 * n1 * n1 * (math.log(n1) + math.log(1.0 / root_deviation)))
 
 
+# The scalar walk calls ``lazy_step`` through this module's namespace
+# because the benchmark tracer, benchmarks/tracer.py, patches it there.
 def lazy_step(tree: BranchingTree, node: NodePath, rng: np.random.Generator) -> NodePath:
     """One move of the lazy walk: parent 1/4, each child 1/8, else stay."""
     u = rng.random()
@@ -436,24 +422,22 @@ def estimate_alpha(
     delta: float,
     params: ChainParams = ChainParams(),
     rng: np.random.Generator | None = None,
-    transport: str = "chain",
 ) -> AlphaEstimate:
-    """Estimate the normalizing factor of the stationary law on ``tree``.
+    """Estimate the normalizing factor of the stationary law on ``tree`` by walking.
 
     Parameters
     ----------
     tree : nonempty branching tree (explicit or oracle-backed).
     height : height at which the tree is viewed; alpha = pi(root) / 2^height.
     zeta, delta : relative error target and failure probability, both in (0,1).
-    params : walk configuration; tv_tolerance defaults to zeta / (8(height+1)).
+    params : burn-in constant of the walk.
     rng : numpy Generator; required unless the tree has a single node.
-    transport : "chain" draws each sample by running the walk for the full
-        burn-in; "exact" draws root hits from the exact stationary mass of
-        the (materialized) tree -- a perfect-sampling shortcut for
-        validation, with zero chain steps.
 
-    The estimate satisfies P[(1-zeta) alpha <= value <= (1+zeta) alpha]
-    >= 1 - delta, up to the stationarity deviation absorbed into zeta.
+    Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
+    steps from the root: vectorized on explicit trees, one
+    ``lazy_step`` at a time on oracle-backed ones.  The estimate
+    satisfies P[(1-zeta) alpha <= value <= (1+zeta) alpha] >= 1 - delta,
+    up to that root deviation, which is absorbed into zeta.
     """
     if tree.is_empty:
         raise ValueError("cannot estimate alpha of an empty tree")
@@ -461,25 +445,13 @@ def estimate_alpha(
         raise ValueError("zeta must lie in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if transport not in TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}")
     if height == 0:
         # Single reachable node: the root has all the mass, analytically.
         return AlphaEstimate(1.0, zeta, 1.0, 0, 0, 1.0, 0)
     if rng is None:
         raise ValueError("an rng is required for sampling")
 
-    if transport == "exact":
-        explicit = _as_explicit(tree) or materialize(tree)
-        if explicit.height != height:
-            explicit = ExplicitTree(explicit.nodes, height=height)
-        p = float(root_mass_exact(explicit))
-        return _alpha_from_hits(
-            height, zeta, delta, lambda m: int(rng.binomial(m, p)), steps_per_sample=0
-        )
-
-    tv = params.tv_tolerance if params.tv_tolerance is not None else default_tv_tolerance(zeta, height)
-    steps = burn_in_steps(height, tv, params.burn_in_constant)
+    steps = burn_in_steps(height, zeta / (1 + zeta), params.burn_in_constant)
     explicit = _as_explicit(tree)
     if explicit is not None:
         batched = _batched_root_hits(

@@ -22,6 +22,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .estimator import (
+    TRANSPORTS,
     EstimatorConfig,
     ExactCount,
     count_up_to,
@@ -85,6 +86,12 @@ def _report_fields(report) -> dict:
     }
 
 
+def _check_workers(workers: int) -> None:
+    """Reject worker counts below one; any other count runs the same serial path."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def run_estimate(
     problem: str,
     input: str,
@@ -95,10 +102,9 @@ def run_estimate(
     workers: int = 1,
     transport: str = "chain",
 ) -> dict:
+    _check_workers(workers)
     tree = _load_tree_source(problem, input)
-    config = EstimatorConfig(
-        xi, delta, seed, ChainParams(burn_in_constant=burn_const), transport, workers
-    )
+    config = EstimatorConfig(xi, delta, seed, ChainParams(burn_in_constant=burn_const), transport)
     report = estimate_size(tree, config)
     return {
         "command": "estimate",
@@ -148,11 +154,9 @@ def run_ras(
     workers: int = 1,
     transport: str = "chain",
 ) -> dict:
+    _check_workers(workers)
     tree = _load_tree_source(problem, input)
-    report = ras(
-        tree, k, beta, delta, seed,
-        ChainParams(burn_in_constant=burn_const), transport, workers,
-    )
+    report = ras(tree, k, beta, delta, seed, ChainParams(burn_in_constant=burn_const), transport)
     return {
         "command": "ras",
         "problem": problem,
@@ -182,10 +186,10 @@ def run_capp(
     workers: int = 1,
     transport: str = "chain",
 ) -> dict:
+    _check_workers(workers)
     circuit = _load_circuit_source(problem, input)
     result = capp(
-        circuit, epsilon, delta, seed,
-        ChainParams(burn_in_constant=burn_const), transport, workers,
+        circuit, epsilon, delta, seed, ChainParams(burn_in_constant=burn_const), transport
     )
     return {
         "command": "capp",
@@ -218,10 +222,10 @@ def run_gapcsat(
     transport: str = "chain",
 ) -> dict:
     t0 = time.perf_counter()
+    _check_workers(workers)
     circuit = _load_circuit_source(problem, input)
     verdict = gap_csat(
-        circuit, rho, delta, seed,
-        ChainParams(burn_in_constant=burn_const), transport, workers,
+        circuit, rho, delta, seed, ChainParams(burn_in_constant=burn_const), transport
     )
     return {
         "command": "gapcsat",
@@ -293,8 +297,10 @@ def _add_common(sub, seed_required=True):
     sub.add_argument("--seed", type=int, required=seed_required, help="master seed")
     sub.add_argument("--burn-const", type=float, default=2.0, dest="burn_const",
                      help="burn-in constant of the mixing bound (default 2)")
-    sub.add_argument("--workers", type=int, default=1, help="parallel depth workers")
-    sub.add_argument("--transport", choices=("chain", "exact"), default="chain",
+    sub.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility and must be >= 1; depths "
+                          "always run serially, so the result is the same at any value")
+    sub.add_argument("--transport", choices=TRANSPORTS, default="chain",
                      help="sampling transport: walk the chain, or draw from the "
                           "exact stationary law (validation shortcut)")
 

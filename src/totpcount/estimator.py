@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,16 +28,20 @@ import numpy as np
 from . import chain as chain_mod
 from .chain import AlphaEstimate, ChainParams, guard_height
 from .errors import SizeGuardError
-from .machine import InstanceTree, SelfReducibleInstance, build_branching_tree
+from .machine import SelfReducibleInstance, build_branching_tree
 
 # ``materialize`` is no longer called here (enumeration goes through
 # ``iter_nodes``), but it stays a module attribute: the benchmark tracer,
-# benchmarks/tracer.py, patches ``estimator.materialize``.
+# benchmarks/tracer.py, patches ``estimator.materialize``.  It also
+# patches ``estimator.truncate``, so ``estimate_size`` calls it through
+# this module's namespace.
 from .trees import DEFAULT_MATERIALIZE_GUARD, BranchingTree, materialize, truncate  # noqa: F401
+
+TRANSPORTS = ("chain", "exact")
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic substream for (seed, key...); worker-schedule independent."""
+    """Deterministic substream for (seed, key...): a depth's draws depend on nothing else."""
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, *key]))
 
 
@@ -52,7 +54,6 @@ class EstimatorConfig:
     seed: int
     chain: ChainParams = ChainParams()
     transport: str = "chain"
-    workers: int = 1
 
     def __post_init__(self):
         if not 0 < self.xi <= 1:
@@ -61,10 +62,8 @@ class EstimatorConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.transport not in chain_mod.TRANSPORTS:
+        if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
     transport draws root hits from the exact stationary mass instead
     (requires a materializable tree) and reports zero chain steps; it
     exists to validate the estimator's statistics separately from the
-    walk's mixing.
+    walk's mixing.  Depths run in order, each on its own ``derived_rng``.
     """
     t0 = time.perf_counter()
     if tree.is_empty:
@@ -204,50 +203,30 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
         return _report(1.0, 0, config, (exact0,), "telescoping", t0)
 
     zeta = config.xi / (2 * (n + 1))
-    eps = zeta / (1 + zeta)
     delta_call = config.delta / (n + 1)
-    params = replace(config.chain, tv_tolerance=eps)
-
-    if config.transport == "exact":
-        masses = _exact_root_masses(tree)
-
-        def job(i: int) -> AlphaEstimate:
-            rng = derived_rng(config.seed, i)
-            p = masses[i]
-            return chain_mod._alpha_from_hits(
-                i, zeta, delta_call, lambda m: int(rng.binomial(m, p)), 0
+    masses = _exact_root_masses(tree) if config.transport == "exact" else None
+    alphas = [exact0]
+    for i in range(1, n + 1):
+        rng = derived_rng(config.seed, i)
+        if masses is None:
+            alpha = chain_mod.estimate_alpha(
+                truncate(tree, i), i, zeta, delta_call, config.chain, rng
             )
-
-    else:
-
-        def job(i: int) -> AlphaEstimate:
-            rng = derived_rng(config.seed, i)
-            return chain_mod.estimate_alpha(
-                truncate(tree, i), i, zeta, delta_call, params, rng, transport="chain"
+        else:
+            alpha = chain_mod._alpha_from_hits(
+                i, zeta, delta_call, lambda m, p=masses[i]: int(rng.binomial(m, p)), 0
             )
+        alphas.append(alpha)
 
-    depths = range(1, n + 1)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rest = list(pool.map(job, depths))
-    else:
-        rest = [job(i) for i in depths]
-
-    alphas = (exact0, *rest)
     raw = telescoped_size([1.0 / a.value for a in alphas])
-    return _report(raw, n, config, alphas, "telescoping", t0)
-
-
-@lru_cache(maxsize=256)
-def _instance_tree(instance: SelfReducibleInstance) -> InstanceTree:
-    # Memoized replay: the chain transport's walk asks for the same nodes'
-    # children over and over (whole-tree passes use ``iter_nodes`` instead).
-    return build_branching_tree(instance, memoize=True)
+    return _report(raw, n, config, tuple(alphas), "telescoping", t0)
 
 
 def _tree_of(source: BranchingTree | SelfReducibleInstance) -> BranchingTree:
     if isinstance(source, SelfReducibleInstance):
-        return _instance_tree(source)
+        # Memoized replay, for this call only: the chain transport's walk
+        # asks for the same nodes' children over and over.
+        return build_branching_tree(source, memoize=True)
     return source
 
 
@@ -282,7 +261,6 @@ def absolute_error_estimate(
     seed: int,
     chain: ChainParams = ChainParams(),
     transport: str = "chain",
-    workers: int = 1,
 ) -> EstimateReport:
     """Estimate within absolute error 2^(height/2) * sqrt(s).
 
@@ -295,7 +273,7 @@ def absolute_error_estimate(
     if not 1 <= s <= 2.0**n:
         raise ValueError(f"s must lie in [1, 2^{n}]")
     xi = math.sqrt(s / 2.0**n)
-    config = EstimatorConfig(min(xi, 1.0), delta, seed, chain, transport, workers)
+    config = EstimatorConfig(min(xi, 1.0), delta, seed, chain, transport)
     return estimate_size(tree, config)
 
 
@@ -307,7 +285,6 @@ def ras(
     seed: int,
     chain: ChainParams = ChainParams(),
     transport: str = "chain",
-    workers: int = 1,
 ) -> EstimateReport:
     """Relative (1 +- 1/k) approximation in sub-exhaustive time.
 
@@ -329,10 +306,9 @@ def ras(
     outcome = count_up_to(tree, tau)
     if isinstance(outcome, ExactCount):
         config = EstimatorConfig(
-            min(1.0, max(math.sqrt(s / 2.0**n), 1e-9)), delta, seed, chain, transport, workers
+            min(1.0, max(math.sqrt(s / 2.0**n), 1e-9)), delta, seed, chain, transport
         )
         return _report(
             float(outcome.value), n, config, (), "exact", t0, error_radius=0.0
         )
-    report = absolute_error_estimate(tree, s, delta, seed, chain, transport, workers)
-    return report
+    return absolute_error_estimate(tree, s, delta, seed, chain, transport)

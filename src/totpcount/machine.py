@@ -15,8 +15,8 @@ f+1 maximal runs.
 
 The ``children`` oracle replays the machine from its initial state along
 the node's path on every call, keeping the oracle pure; an optional memo
-keyed by node path (enabled where the caller guarantees per-worker use)
-holds each node's split pair, so a node's children are advanced once.
+keyed by node path holds each node's split pair, so a node's children
+are advanced once; the library keeps a memoized tree for one call only.
 Whole-tree enumeration goes through ``InstanceTree.iter_nodes`` instead: a
 depth-first walk that keeps every pending node's split pair on its stack,
 so each tree edge costs one advance and no path is ever replayed.

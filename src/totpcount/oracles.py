@@ -91,7 +91,7 @@ def count_sat(formula: DnfFormula | CnfFormula | MonotoneCircuit) -> int:
 
 def materialize_tree(instance: SelfReducibleInstance, max_nodes: int = MAX_TREE_NODES) -> ExplicitTree:
     """Exhaustive walk of the branching-tree oracle into an explicit tree."""
-    return materialize(build_branching_tree(instance, memoize=True), max_nodes=max_nodes)
+    return materialize(build_branching_tree(instance), max_nodes=max_nodes)
 
 
 def count_computation_paths(instance: SelfReducibleInstance, max_paths: int = MAX_TREE_NODES) -> int:

@@ -4,8 +4,8 @@ A tree here is a prefix-closed set of nodes inside the full binary tree of
 height n.  A node is identified purely by the sequence of binary choices
 (0 = left, 1 = right) that reaches it from the root, so implicit trees of
 large height are representable without materializing anything.  Trees are
-exposed through a children oracle; the oracle is pure and read-only, which
-is what makes concurrent sampling sound.  Whole-tree passes (``materialize``,
+exposed through a children oracle; the oracle is pure and read-only, so
+every pass over a tree sees the same nodes.  Whole-tree passes (``materialize``,
 the threshold decider, exact per-depth counts) go through ``iter_nodes``,
 which a tree may implement more cheaply than one oracle call per node.
 
@@ -185,28 +185,19 @@ def materialize(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD)
 
     Raises SizeGuardError as soon as more than ``max_nodes`` nodes are
     seen.  The declared height is preserved so stationary masses computed
-    on the result match the implicit original.  The result is cached on
-    the tree object (oracles are pure, so the walk is repeatable).
+    on the result match the implicit original.  Nothing is cached: each
+    call enumerates the tree again, under its own guard.
     """
     if tree.is_empty:
         return ExplicitTree((), height=tree.height)
     if isinstance(tree, ExplicitTree):
         return tree
-    cached = getattr(tree, "_materialized", None)
-    if cached is not None:
-        return cached
     nodes: list[NodePath] = []
     for node in tree.iter_nodes():
         nodes.append(node)
         if len(nodes) > max_nodes:
             raise SizeGuardError(f"tree exceeds the materialization guard of {max_nodes} nodes")
-    result = ExplicitTree(nodes, height=tree.height)
-    if max_nodes == DEFAULT_MATERIALIZE_GUARD:
-        try:
-            tree._materialized = result  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-    return result
+    return ExplicitTree(nodes, height=tree.height)
 
 
 def random_tree(

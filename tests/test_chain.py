@@ -8,11 +8,13 @@ import pytest
 from totpcount import (
     ChainParams,
     DnfFormula,
+    EstimatorConfig,
     ExplicitTree,
     burn_in_steps,
     build_branching_tree,
     dnf_instance,
     estimate_alpha,
+    estimate_size,
     full_binary_tree,
     lazy_step,
     random_tree,
@@ -24,7 +26,6 @@ from totpcount import (
 from totpcount import chain
 from totpcount.chain import (
     IndexedTree,
-    default_tv_tolerance,
     repetitions_for,
     sample_size_for,
 )
@@ -91,6 +92,68 @@ def test_burn_in_rejects_bad_arguments():
         burn_in_steps(-1, 0.1)
     with pytest.raises(ValueError):
         burn_in_steps(3, 1.5)
+
+
+def _root_returns(tree, steps):
+    """{t: P^t(root, root)} of the lazy walk for each t in ``steps``, exactly.
+
+    Every lazy probability is a multiple of 1/8, so 8P is an integer
+    matrix; the root's row of (8P)^t is carried forward by repeated
+    squaring and divided by 8^t at the end.
+    """
+    nodes, rows = transition_matrix_exact(tree)
+    scaled = [[8 * row.get(q, Fraction(0)) for q in nodes] for row in rows]
+    assert all(x.denominator == 1 for row in scaled for x in row)
+    matrix = [[int(x) for x in row] for row in scaled]
+    root = nodes.index(ROOT)
+
+    def times(vector, power):
+        return [sum(x * power[c][b] for c, x in enumerate(vector)) for b in range(len(nodes))]
+
+    row, done, out = [int(node == ROOT) for node in nodes], 0, {}
+    for t in sorted(set(steps)):
+        power, left = matrix, t - done
+        while left:
+            if left & 1:
+                row = times(row, power)
+            left >>= 1
+            if left:
+                power = [times(r, power) for r in power]
+        done = t
+        out[t] = Fraction(row[root], 8**t)
+    return out
+
+
+_BURN_IN_TREES = [
+    ExplicitTree([()]),
+    ExplicitTree([(), (1,)]),
+    full_binary_tree(1),
+    full_binary_tree(2),
+    ExplicitTree([(), (0,), (0, 1), (0, 1, 1), (0, 1, 1, 0), (0, 1, 1, 0, 0), (0, 1, 1, 0, 0, 1)]),
+    *(random_tree(np.random.default_rng(7 + h), h, child_prob=0.6, max_nodes=7) for h in (2, 3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize("tree", _BURN_IN_TREES, ids=lambda t: f"{len(t.nodes)}nodes-height{t.height}")
+def test_burn_in_bounds_the_root_deviation_exactly(tree):
+    # The derivation in burn_in_steps, in exact rationals on trees of at
+    # most 7 nodes: |P^t(r,r)/pi(r) - 1| <= (1 - 1/(32(n+1)^2))^t / pi(r)
+    # at short t, where that spectral bound has content, and the root
+    # deviation at T = burn_in_steps(n, eps) is at most eps, for eps = 1/2
+    # and for the zeta/(1+zeta) that estimate_size uses at xi = 1.
+    n = tree.height
+    pi_root = root_mass_exact(tree)
+    assert pi_root >= Fraction(1, n + 1)
+    zeta = Fraction(1, 2 * (n + 1))
+    targets = [Fraction(1, 2), zeta / (1 + zeta)]
+    burn = [burn_in_steps(n, float(eps)) for eps in targets]
+    short = list(range(0, 65, 8))
+    returns = _root_returns(tree, short + burn)
+    gap = Fraction(1, 32 * (n + 1) ** 2)
+    for t in short:
+        assert abs(returns[t] / pi_root - 1) <= (1 - gap) ** t / pi_root
+    for eps, t in zip(targets, burn):
+        assert abs(returns[t] / pi_root - 1) <= eps
 
 
 # --- exact stationary law
@@ -359,9 +422,7 @@ def test_estimate_alpha_full_binary_chain_transport(rng):
     assert 0.9 / 12 <= est.value <= 1.1 / 12
     assert est.samples == math.ceil(4 * 3 / 0.01)
     assert est.repetitions == math.ceil(8 * math.log(10))
-    assert est.chain_steps == est.samples * est.repetitions * burn_in_steps(
-        2, default_tv_tolerance(0.1, 2)
-    )
+    assert est.chain_steps == est.samples * est.repetitions * burn_in_steps(2, 0.1 / (1 + 0.1))
 
 
 def test_estimate_alpha_chain_tree_viewed_at_height_two(rng):
@@ -370,20 +431,22 @@ def test_estimate_alpha_chain_tree_viewed_at_height_two(rng):
     assert abs(est.value - 1 / 7) <= 0.1 / 7
 
 
-def test_estimate_alpha_exact_transport_on_instance(rng):
+def test_estimate_alpha_exact_transport_on_instance():
+    # The exact transport lives in estimate_size; xi = 0.8 at height 3
+    # gives the per-depth zeta = xi / (2 (n+1)) = 0.1.
     tree = build_branching_tree(dnf_instance(DnfFormula(2, ((1,),))))
-    est = estimate_alpha(tree, tree.height, 0.1, 0.1, rng=rng, transport="exact")
-    assert abs(est.value - 1 / 12) <= 0.1 / 12
-    assert est.chain_steps == 0
+    report = estimate_size(tree, EstimatorConfig(0.8, 0.1, 5, transport="exact"))
+    last = report.alpha_estimates[-1]
+    assert last.zeta == 0.1
+    assert abs(last.value - 1 / 12) <= 0.1 / 12
+    assert last.chain_steps == 0 and report.total_chain_steps == 0
 
 
 def test_estimate_alpha_scalar_chain_on_single_node_instance(rng):
     # Zero-variable satisfiable formula: one tree node viewed at height 1.
     tree = build_branching_tree(dnf_instance(DnfFormula(0, ((),))))
     assert tree.height == 1
-    est = estimate_alpha(
-        tree, 1, 0.5, 0.3, ChainParams(tv_tolerance=0.3), rng=rng
-    )
+    est = estimate_alpha(tree, 1, 0.5, 0.3, rng=rng)
     assert est.value == 0.5  # root mass 1 at height 1
     assert est.root_hit_fraction == 1.0
 
@@ -423,7 +486,7 @@ def test_estimate_alpha_walks_whole_repetitions_per_batch(tree, cap, monkeypatch
     params = ChainParams(burn_in_constant=0.1)
     est = estimate_alpha(tree, h, zeta, delta, params, rng=rng)
     m, t = sample_size_for(h, zeta), repetitions_for(delta)
-    steps = burn_in_steps(h, default_tv_tolerance(zeta, h), 0.1)
+    steps = burn_in_steps(h, zeta / (1 + zeta), 0.1)
     assert [d for d, _ in draws] == [m] * t
     assert all(0 <= hits <= m for _, hits in draws)
     per_call = max(1, cap // m)
@@ -446,7 +509,7 @@ def test_estimate_alpha_walks_whole_repetitions_per_batch(tree, cap, monkeypatch
     ids=lambda t: f"{len(t.nodes)}nodes-height{t.height}",
 )
 def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
-    # Walks of T = 2, 5, 10 and 16 steps end 13-40 sigma away from the
+    # Walks of T = 1, 3, 5 and 9 steps end 39-78 sigma away from the
     # stationary root mass, so this checks the law of exactly T steps,
     # leftover steps included, not just the limit.
     _, draws = _spy_on_estimate_alpha(monkeypatch)
@@ -470,13 +533,9 @@ def test_estimate_alpha_validates_parameters(rng):
     with pytest.raises(ValueError):
         estimate_alpha(fb, 1, 0.1, 1.0, rng=rng)
     with pytest.raises(ValueError):
-        estimate_alpha(fb, 1, 0.1, 0.1, rng=rng, transport="warp")
-    with pytest.raises(ValueError):
         estimate_alpha(ExplicitTree([], height=2), 2, 0.1, 0.1, rng=rng)
 
 
 def test_chain_params_validation():
-    with pytest.raises(ValueError):
-        ChainParams(tv_tolerance=0.0)
     with pytest.raises(ValueError):
         ChainParams(burn_in_constant=-1.0)

@@ -93,6 +93,24 @@ def test_estimate_bad_xi_exits_two(capsys, tree_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--problem", "tree", "--xi", "0.5"],
+        ["ras", "--problem", "tree", "--k", "2", "--beta", "0.5"],
+        ["capp", "--problem", "dnf", "--epsilon", "0.2"],
+        ["gapcsat", "--problem", "dnf", "--rho", "0.4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_workers_below_one_exits_two(capsys, tree_file, dnf_file, argv):
+    source = tree_file if "tree" in argv else dnf_file
+    code = main(argv + ["--input", str(source), "--delta", "0.2", "--seed", "1",
+                        "--transport", "exact", "--workers", "0"])
+    assert code == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
 def test_estimate_height_guard_exits_three(capsys, tmp_path):
     rng = np.random.default_rng(0)
     tall = random_tree(rng, 501, child_prob=0.0)
