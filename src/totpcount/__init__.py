@@ -81,7 +81,6 @@ from .trees import (
     BranchingTree,
     ExplicitTree,
     NodePath,
-    TruncatedTree,
     exact_size,
     full_binary_tree,
     load_tree,

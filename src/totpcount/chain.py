@@ -24,9 +24,15 @@ one contiguous slice at every gather, and shuffles the finals at the end.
 On an explicit tree ``estimate_alpha`` walks all t repetitions of m
 samples of a depth together, in the fewest ``walk_batch`` calls of at
 most 2^15 walkers that hold whole repetitions, and splits each call's
-finals back into per-repetition root-hit counts.  The scalar
-``lazy_step`` keeps the interval form of the lazy kernel for
-oracle-backed trees.
+finals back into per-repetition root-hit counts.  On an oracle-backed
+tree it walks one scalar ``lazy_step`` at a time, in the interval form
+of the lazy kernel, at the cost of one ``children`` query per child
+move (a machine replay, unless the tree is memoized).  Either way the
+walk at depth i runs on the truncation S_i of the tree it is given,
+with no tree object for S_i: ``IndexedTree(tree, i)`` indexes only the
+nodes of depth <= i, so the child moves of depth-i nodes find no child
+and hold, and ``lazy_step(tree, node, rng, i)`` holds on those moves
+without asking the tree.
 
 Sample-size rule: estimating pi(root) within a factor (1 +- zeta) with
 failure probability <= 1/4 needs m = ceil(4(n+1)/zeta^2) independent
@@ -44,7 +50,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import SizeGuardError
-from .trees import ROOT, BranchingTree, ExplicitTree, NodePath, TruncatedTree
+from .trees import ROOT, BranchingTree, ExplicitTree, NodePath
 
 # ``materialize`` is not called here, but it stays a module attribute: the
 # benchmark tracer, benchmarks/tracer.py, patches ``chain.materialize``.
@@ -110,17 +116,22 @@ def burn_in_steps(height: int, root_deviation: float, constant: float = 2.0) -> 
 
 # The scalar walk calls ``lazy_step`` through this module's namespace
 # because the benchmark tracer, benchmarks/tracer.py, patches it there.
-def lazy_step(tree: BranchingTree, node: NodePath, rng: np.random.Generator) -> NodePath:
-    """One move of the lazy walk: parent 1/4, each child 1/8, else stay."""
+def lazy_step(
+    tree: BranchingTree, node: NodePath, rng: np.random.Generator, depth: int
+) -> NodePath:
+    """One move of the lazy walk on the depth-``depth`` truncation of ``tree``.
+
+    Parent 1/4, each child 1/8, else stay.  A child move at depth
+    ``depth`` holds without asking the tree, as the truncation has no
+    nodes below it.  One uniform draw a step, whatever the outcome.
+    """
     u = rng.random()
     if u < 0.25:
         return node[:-1] if node else node
-    if u < 0.5:
-        kids = tree.children(node)
+    if u < 0.5 and len(node) < depth:
         want = node + (0,) if u < 0.375 else node + (1,)
-        if want in kids:
+        if want in tree.children(node):
             return want
-        return node
     return node
 
 
@@ -183,7 +194,12 @@ _BATCH_WALKERS = 1 << 15
 
 
 class IndexedTree:
-    """Array form of an explicit tree for the vectorized walker.
+    """Array form of a tree, or of its truncation, for the vectorized walker.
+
+    The rows are the nodes of ``tree.iter_nodes(max_depth)`` (every node
+    when ``max_depth`` is None), sorted by (depth, path), so the root is
+    row 0.  Children past ``max_depth`` are not indexed, so moves to them
+    hold, exactly as on the truncated tree.
 
     The lazy kernel is P = (I + Q) / 2: half of its draws hold at every
     node whatever its children, and the other half make one move of the
@@ -211,10 +227,10 @@ class IndexedTree:
     nodes walk with j = 1.
     """
 
-    def __init__(self, tree: ExplicitTree):
+    def __init__(self, tree: BranchingTree, max_depth: int | None = None):
         if tree.is_empty:
             raise ValueError("empty tree")
-        self.nodes = sorted(tree.nodes, key=lambda p: (len(p), p))
+        self.nodes = sorted(tree.iter_nodes(max_depth), key=lambda p: (len(p), p))
         index = {p: i for i, p in enumerate(self.nodes)}
         k = len(self.nodes)
         table = np.empty((k, 4), dtype=np.int32)
@@ -345,17 +361,6 @@ def _cut_codes(words: np.ndarray, bits: int) -> np.ndarray:
     return codes
 
 
-def _as_explicit(tree: BranchingTree) -> ExplicitTree | None:
-    """Cheap explicit view when one exists; None for oracle-backed trees."""
-    if isinstance(tree, ExplicitTree):
-        return tree
-    if isinstance(tree, TruncatedTree) and isinstance(tree.base, ExplicitTree):
-        return ExplicitTree(
-            (p for p in tree.base.nodes if len(p) <= tree.height), height=tree.height
-        )
-    return None
-
-
 def sample_size_for(height: int, zeta: float) -> int:
     """Draws per repetition for a (1 +- zeta) root-mass estimate at 3/4 confidence."""
     return math.ceil(4 * (height + 1) / (zeta * zeta))
@@ -423,12 +428,15 @@ def estimate_alpha(
     params: ChainParams = ChainParams(),
     rng: np.random.Generator | None = None,
 ) -> AlphaEstimate:
-    """Estimate the normalizing factor of the stationary law on ``tree`` by walking.
+    """Estimate the stationary law's normalizing factor on ``tree`` cut at depth ``height``.
 
     Parameters
     ----------
     tree : nonempty branching tree (explicit or oracle-backed).
-    height : height at which the tree is viewed; alpha = pi(root) / 2^height.
+    height : depth i of the truncation S_i that is walked, and the height
+        at which S_i is viewed: alpha = pi_{S_i}(root) / 2^i.  Nodes of
+        ``tree`` deeper than i are never visited; i may also exceed
+        ``tree.height``, which views the whole tree at a larger height.
     zeta, delta : relative error target and failure probability, both in (0,1).
     params : burn-in constant of the walk.
     rng : numpy Generator; required unless the tree has a single node.
@@ -452,10 +460,9 @@ def estimate_alpha(
         raise ValueError("an rng is required for sampling")
 
     steps = burn_in_steps(height, zeta / (1 + zeta), params.burn_in_constant)
-    explicit = _as_explicit(tree)
-    if explicit is not None:
+    if isinstance(tree, ExplicitTree):
         batched = _batched_root_hits(
-            IndexedTree(explicit),
+            IndexedTree(tree, height),
             sample_size_for(height, zeta),
             repetitions_for(delta),
             steps,
@@ -472,7 +479,7 @@ def estimate_alpha(
             for _ in range(m):
                 node: NodePath = ROOT
                 for _ in range(steps):
-                    node = lazy_step(tree, node, rng)
+                    node = lazy_step(tree, node, rng, height)
                 hits += node == ROOT
             return hits
 

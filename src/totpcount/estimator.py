@@ -1,11 +1,16 @@
 """Tree-size estimation by telescoping per-depth normalizing factors.
 
-For a tree S of height n, let S_i be its truncation to depth i and
-alpha_i the normalizing factor of the stationary law on S_i (viewed at
-height i).  The per-level node counts satisfy r_0 = 1/alpha_0 = 1 and
-r_k = 1/alpha_k - 2/alpha_{k-1}, so the total size telescopes to
+For a tree S of height n, let S_i be its truncation to depth i (its
+nodes of depth <= i) and alpha_i the normalizing factor of the
+stationary law on S_i (viewed at height i).  The per-level node counts
+satisfy r_0 = 1/alpha_0 = 1 and r_k = 1/alpha_k - 2/alpha_{k-1}, so the
+total size telescopes to
 
     |S| = 1/alpha_n - sum_{k=0}^{n-1} 1/alpha_k.
+
+No S_i is built as a tree of its own: every depth walks S itself with i
+as the cut (``chain.estimate_alpha``), and the exact transport reads
+every pi_{S_i}(root) off one count of S's nodes per depth.
 
 The estimator targets an additive guarantee: with per-depth relative
 accuracy zeta = xi / (2(n+1)) and stationarity deviation
@@ -30,11 +35,10 @@ from .chain import AlphaEstimate, ChainParams, guard_height
 from .errors import SizeGuardError
 from .machine import SelfReducibleInstance, build_branching_tree
 
-# ``materialize`` is no longer called here (enumeration goes through
-# ``iter_nodes``), but it stays a module attribute: the benchmark tracer,
-# benchmarks/tracer.py, patches ``estimator.materialize``.  It also
-# patches ``estimator.truncate``, so ``estimate_size`` calls it through
-# this module's namespace.
+# ``materialize`` and ``truncate`` are not called here (enumeration goes
+# through ``iter_nodes``, and a truncation is a depth argument), but they
+# stay module attributes: the benchmark tracer, benchmarks/tracer.py,
+# patches ``estimator.materialize`` and ``estimator.truncate``.
 from .trees import DEFAULT_MATERIALIZE_GUARD, BranchingTree, materialize, truncate  # noqa: F401
 
 TRANSPORTS = ("chain", "exact")
@@ -154,13 +158,10 @@ def _report(
 def _depth_counts(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> list[int]:
     """Number of nodes at each depth 0..height, by one enumeration.
 
-    An oracle-backed tree is walked by ``iter_nodes`` and never stored;
-    past ``max_nodes`` nodes it raises SizeGuardError, as ``materialize``
+    The tree is walked by ``iter_nodes`` and never stored; past
+    ``max_nodes`` nodes it raises SizeGuardError, as ``materialize``
     would.
     """
-    explicit = chain_mod._as_explicit(tree)
-    if explicit is not None:
-        return explicit.depth_counts()
     counts = [0] * (tree.height + 1)
     for seen, node in enumerate(tree.iter_nodes(), start=1):
         if seen > max_nodes:
@@ -209,9 +210,7 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
     for i in range(1, n + 1):
         rng = derived_rng(config.seed, i)
         if masses is None:
-            alpha = chain_mod.estimate_alpha(
-                truncate(tree, i), i, zeta, delta_call, config.chain, rng
-            )
+            alpha = chain_mod.estimate_alpha(tree, i, zeta, delta_call, config.chain, rng)
         else:
             alpha = chain_mod._alpha_from_hits(
                 i, zeta, delta_call, lambda m, p=masses[i]: int(rng.binomial(m, p)), 0

@@ -6,8 +6,11 @@ height n.  A node is identified purely by the sequence of binary choices
 large height are representable without materializing anything.  Trees are
 exposed through a children oracle; the oracle is pure and read-only, so
 every pass over a tree sees the same nodes.  Whole-tree passes (``materialize``,
-the threshold decider, exact per-depth counts) go through ``iter_nodes``,
-which a tree may implement more cheaply than one oracle call per node.
+the threshold decider, exact per-depth counts, the walker's index) go
+through ``iter_nodes``, which a tree may implement more cheaply than one
+oracle call per node.  A truncation S_i is a depth, not a tree object:
+``iter_nodes(i)`` enumerates it and the walk takes i as its cut
+(``chain.estimate_alpha``); ``truncate`` builds it as an explicit tree.
 
 The empty tree is a first-class value: downstream estimators check
 ``is_empty`` and never run a walk on it.
@@ -126,43 +129,11 @@ class ExplicitTree(BranchingTree):
         return len(self.nodes) == 2 ** (self.height + 1) - 1
 
 
-class TruncatedTree(BranchingTree):
-    """View of a tree cut at a given depth; children at the cut are hidden."""
-
-    def __init__(self, base: BranchingTree, height: int):
-        if isinstance(base, TruncatedTree):
-            height, base = min(height, base.height), base.base
-        self.base = base
-        self.height = int(height)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.base.is_empty
-
-    def children(self, node: NodePath) -> tuple[NodePath, ...]:
-        if len(node) > self.height:
-            raise NotInTreeError(f"node {node!r} is deeper than the truncation depth")
-        if len(node) == self.height:
-            if node not in self.base:
-                raise NotInTreeError(f"node {node!r} is not in the tree")
-            return ()
-        return self.base.children(node)
-
-    def __contains__(self, node: NodePath) -> bool:
-        return len(node) <= self.height and node in self.base
-
-    def iter_nodes(self, max_depth: int | None = None) -> Iterator[NodePath]:
-        cut = self.height if max_depth is None else min(max_depth, self.height)
-        return self.base.iter_nodes(cut)
-
-
-def truncate(tree: BranchingTree, depth: int) -> BranchingTree:
-    """The subtree of all nodes of depth <= ``depth``, with height ``depth``."""
+def truncate(tree: BranchingTree, depth: int) -> ExplicitTree:
+    """The subtree of all nodes of depth <= ``depth``, with height ``depth``, as an explicit tree."""
     if not 0 <= depth <= tree.height:
         raise ValueError(f"truncation depth {depth} outside [0, {tree.height}]")
-    if isinstance(tree, ExplicitTree):
-        return ExplicitTree((p for p in tree.nodes if len(p) <= depth), height=depth)
-    return TruncatedTree(tree, depth)
+    return ExplicitTree(tree.iter_nodes(depth), height=depth)
 
 
 def exact_size(tree: ExplicitTree) -> int:
@@ -212,8 +183,12 @@ def random_tree(
     Children are kept independently with probability ``child_prob``;
     ``ensure_height`` forces one random path down to full depth so the
     declared height is actually realized.  ``max_nodes`` caps the size by
-    stopping breadth-first growth.
+    stopping breadth-first growth; it must leave room for the root and
+    that forced path, or ValueError is raised.
     """
+    least = height + 1 if ensure_height else 1
+    if max_nodes is not None and max_nodes < least:
+        raise ValueError(f"max_nodes {max_nodes} is below the {least} nodes every such tree has")
     nodes: set[NodePath] = {ROOT}
     if ensure_height:
         path: NodePath = ROOT

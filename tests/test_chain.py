@@ -10,17 +10,21 @@ from totpcount import (
     DnfFormula,
     EstimatorConfig,
     ExplicitTree,
+    Graph,
     burn_in_steps,
     build_branching_tree,
     dnf_instance,
     estimate_alpha,
     estimate_size,
     full_binary_tree,
+    is_instance,
     lazy_step,
+    materialize,
     random_tree,
     root_mass_exact,
     stationary_exact,
     transition_matrix_exact,
+    truncate,
     tv_distance,
 )
 from totpcount import chain
@@ -38,30 +42,30 @@ from totpcount.trees import ROOT
 def test_lazy_step_internal_node(scripted_rng):
     tree = full_binary_tree(2)
     node = (0,)
-    assert lazy_step(tree, node, scripted_rng([0.1])) == ()  # parent at u < 1/4
-    assert lazy_step(tree, node, scripted_rng([0.3])) == (0, 0)  # left child
-    assert lazy_step(tree, node, scripted_rng([0.4])) == (0, 1)  # right child
-    assert lazy_step(tree, node, scripted_rng([0.7])) == node  # lazy hold
+    assert lazy_step(tree, node, scripted_rng([0.1]), tree.height) == ()  # parent at u < 1/4
+    assert lazy_step(tree, node, scripted_rng([0.3]), tree.height) == (0, 0)  # left child
+    assert lazy_step(tree, node, scripted_rng([0.4]), tree.height) == (0, 1)  # right child
+    assert lazy_step(tree, node, scripted_rng([0.7]), tree.height) == node  # lazy hold
 
 
 def test_lazy_step_root_holds_instead_of_parent(scripted_rng):
     tree = full_binary_tree(2)
-    assert lazy_step(tree, (), scripted_rng([0.1])) == ()
-    assert lazy_step(tree, (), scripted_rng([0.3])) == (0,)
+    assert lazy_step(tree, (), scripted_rng([0.1]), tree.height) == ()
+    assert lazy_step(tree, (), scripted_rng([0.3]), tree.height) == (0,)
 
 
 def test_lazy_step_leaf_holds_instead_of_children(scripted_rng):
     tree = full_binary_tree(2)
     leaf = (0, 0)
-    assert lazy_step(tree, leaf, scripted_rng([0.1])) == (0,)
-    assert lazy_step(tree, leaf, scripted_rng([0.3])) == leaf
-    assert lazy_step(tree, leaf, scripted_rng([0.45])) == leaf
+    assert lazy_step(tree, leaf, scripted_rng([0.1]), tree.height) == (0,)
+    assert lazy_step(tree, leaf, scripted_rng([0.3]), tree.height) == leaf
+    assert lazy_step(tree, leaf, scripted_rng([0.45]), tree.height) == leaf
 
 
 def test_lazy_step_missing_child_holds(scripted_rng):
     tree = ExplicitTree([(), (1,)])
-    assert lazy_step(tree, (), scripted_rng([0.3])) == ()  # no left child
-    assert lazy_step(tree, (), scripted_rng([0.4])) == (1,)
+    assert lazy_step(tree, (), scripted_rng([0.3]), tree.height) == ()  # no left child
+    assert lazy_step(tree, (), scripted_rng([0.4]), tree.height) == (1,)
 
 
 # --- burn-in schedule
@@ -402,7 +406,7 @@ def test_scalar_walk_matches_stationary_on_instance_tree(rng):
     for _ in range(1500):
         node = ROOT
         for _ in range(60):
-            node = lazy_step(tree, node, rng)
+            node = lazy_step(tree, node, rng, tree.height)
         hits[node] += 1
     empirical = {p: c / 1500 for p, c in hits.items()}
     exact = {(): Fraction(2, 3), (1,): Fraction(1, 3)}
@@ -524,6 +528,47 @@ def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
     exact = np.linalg.matrix_power(np.array(_exact_matrix(tree), dtype=float), steps)[root, root]
     mean_fraction = np.mean([hits / m for m, hits in draws])
     assert abs(mean_fraction - exact) <= 4 * math.sqrt(exact * (1 - exact) / walks)
+
+
+# --- truncation is a depth argument
+
+
+def test_estimate_alpha_walks_the_truncation_of_a_whole_explicit_tree():
+    tree = random_tree(np.random.default_rng(81), 5, child_prob=0.7)
+    params = ChainParams(burn_in_constant=0.05)
+    for i in range(tree.height):
+        cut = sorted((p for p in tree.nodes if len(p) <= i), key=lambda p: (len(p), p))
+        assert IndexedTree(tree, i).nodes == cut
+        whole = estimate_alpha(tree, i, 0.3, 0.3, params, rng=np.random.default_rng(i))
+        alone = estimate_alpha(truncate(tree, i), i, 0.3, 0.3, params, rng=np.random.default_rng(i))
+        assert whole == alone
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        build_branching_tree(is_instance(Graph.from_edges(4, [(1, 2)]))),
+        build_branching_tree(dnf_instance(DnfFormula(4, ((1,), (2, 3))))),
+    ],
+    ids=["is", "dnf"],
+)
+def test_scalar_walk_stays_within_the_truncation_depth(tree, monkeypatch):
+    visited = []
+    step = chain.lazy_step
+
+    def recorded(*args):
+        node = step(*args)
+        visited.append(node)
+        return node
+
+    monkeypatch.setattr(chain, "lazy_step", recorded)
+    deepest = max(map(len, materialize(tree).nodes))
+    assert deepest < tree.height
+    for i in range(1, tree.height):
+        visited.clear()
+        estimate_alpha(tree, i, 0.5, 0.5, ChainParams(0.05), rng=np.random.default_rng(i))
+        # The walk reaches depth i where the tree has nodes there, and never goes below it.
+        assert max(map(len, visited)) == min(i, deepest)
 
 
 def test_estimate_alpha_validates_parameters(rng):

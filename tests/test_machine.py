@@ -20,7 +20,6 @@ from totpcount import (
     is_instance,
     materialize_tree,
     monotone_instance,
-    truncate,
 )
 from totpcount import machine
 from totpcount.generate import random_dnf, random_graph, random_monotone_circuit
@@ -92,15 +91,16 @@ def _random_instances(rng):
         )
 
 
-def _bfs_nodes(tree):
-    """Reference enumeration: breadth-first through ``children``."""
+def _bfs_nodes(tree, max_depth=None):
+    """Reference enumeration: breadth-first through ``children``, down to ``max_depth``."""
     if tree.is_empty:
         return []
     nodes, queue = [], deque([()])
     while queue:
         node = queue.popleft()
         nodes.append(node)
-        queue.extend(tree.children(node))
+        if max_depth is None or len(node) < max_depth:
+            queue.extend(tree.children(node))
     return nodes
 
 
@@ -109,10 +109,9 @@ def test_cursor_walk_matches_children_bfs(rng):
         for memoize in (False, True):
             tree = build_branching_tree(inst, memoize=memoize)
             for depth in [None, *range(tree.height + 1)]:
-                view = tree if depth is None else truncate(tree, depth)
-                walked = list(view.iter_nodes())
+                walked = list(tree.iter_nodes(depth))
                 assert len(walked) == len(set(walked))
-                assert set(walked) == set(_bfs_nodes(view))
+                assert set(walked) == set(_bfs_nodes(tree, depth))
 
 
 def test_cursor_walk_is_preorder():

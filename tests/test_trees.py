@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from totpcount import (
@@ -109,6 +110,19 @@ def test_random_tree_is_prefix_closed_and_tall(rng):
         assert tree.height == h
         assert max(len(p) for p in tree.nodes) == h  # spine forces full depth
         ExplicitTree(tree.nodes)  # re-validates prefix closure
+
+
+def test_random_tree_max_nodes_caps_the_size():
+    # The forced path of a height-5 tree has 6 nodes, so a cap of 3 cannot hold.
+    with pytest.raises(ValueError):
+        random_tree(np.random.default_rng(0), 5, max_nodes=3)
+    with pytest.raises(ValueError):
+        random_tree(np.random.default_rng(0), 0, max_nodes=0, ensure_height=False)
+    for h in range(1, 7):
+        for cap in (h + 1, h + 2, 2 * h + 3):
+            tree = random_tree(np.random.default_rng(cap), h, child_prob=0.9, max_nodes=cap)
+            assert len(tree.nodes) <= cap
+            assert max(len(p) for p in tree.nodes) == h
 
 
 def test_tree_file_roundtrip(tmp_path, rng):
