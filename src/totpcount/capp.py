@@ -76,9 +76,7 @@ def capp(
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     instance, n_inputs, route = _direct_instance(circuit)
-    # Memoized replay, for this call only: the chain walk asks for the
-    # same nodes' children over and over.
-    tree = build_branching_tree(instance, memoize=True)
+    tree = build_branching_tree(instance)
     # Additive epsilon over 2^n assignments needs xi = epsilon * 2^(n - height)
     # on the machine fraction (height = n + 1 here).
     xi = epsilon * 2.0 ** (n_inputs - tree.height)

@@ -26,12 +26,14 @@ samples of a depth together, in the fewest ``walk_batch`` calls of at
 most 2^15 walkers that hold whole repetitions, and splits each call's
 finals back into per-repetition root-hit counts.  On an oracle-backed
 tree it walks one scalar ``lazy_step`` at a time, in the interval form
-of the lazy kernel, at the cost of one ``children`` query per child
-move (a machine replay, unless the tree is memoized).  Either way the
+of the lazy kernel, on one array of T uniforms per sample.  Its
+``children`` queries (a machine replay each) go through a least-recently
+used table that lives for the call and holds up to 2^12 nodes, so on a
+truncation of up to 2^12 nodes each node is asked once.  Either way the
 walk at depth i runs on the truncation S_i of the tree it is given,
 with no tree object for S_i: ``IndexedTree(tree, i)`` indexes only the
 nodes of depth <= i, so the child moves of depth-i nodes find no child
-and hold, and ``lazy_step(tree, node, rng, i)`` holds on those moves
+and hold, and ``lazy_step(children, node, u, i)`` holds on those moves
 without asking the tree.
 
 Sample-size rule: estimating pi(root) within a factor (1 +- zeta) with
@@ -42,6 +44,7 @@ repetitions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,23 +117,31 @@ def burn_in_steps(height: int, root_deviation: float, constant: float = 2.0) -> 
     return math.ceil(constant * 16 * n1 * n1 * (math.log(n1) + math.log(1.0 / root_deviation)))
 
 
+# Nodes whose children the scalar walk keeps per estimate_alpha call, so
+# the table stays bounded on large oracle-backed trees.
+_CHILDREN_ENTRIES = 1 << 12
+
+
 # The scalar walk calls ``lazy_step`` through this module's namespace
 # because the benchmark tracer, benchmarks/tracer.py, patches it there.
 def lazy_step(
-    tree: BranchingTree, node: NodePath, rng: np.random.Generator, depth: int
+    children: Callable[[NodePath], tuple[NodePath, ...]],
+    node: NodePath,
+    u: float,
+    depth: int,
 ) -> NodePath:
-    """One move of the lazy walk on the depth-``depth`` truncation of ``tree``.
+    """One lazy-walk move on the depth-``depth`` truncation, on uniform draw ``u``.
 
-    Parent 1/4, each child 1/8, else stay.  A child move at depth
-    ``depth`` holds without asking the tree, as the truncation has no
-    nodes below it.  One uniform draw a step, whatever the outcome.
+    ``children`` is the tree's children function.  Parent on u < 1/4,
+    left child on [1/4, 3/8), right child on [3/8, 1/2), else stay.  A
+    child move at depth ``depth`` holds without calling ``children``, as
+    the truncation has no nodes below it.
     """
-    u = rng.random()
     if u < 0.25:
         return node[:-1] if node else node
     if u < 0.5 and len(node) < depth:
         want = node + (0,) if u < 0.375 else node + (1,)
-        if want in tree.children(node):
+        if want in children(node):
             return want
     return node
 
@@ -443,9 +454,13 @@ def estimate_alpha(
 
     Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
     steps from the root: vectorized on explicit trees, one
-    ``lazy_step`` at a time on oracle-backed ones.  The estimate
-    satisfies P[(1-zeta) alpha <= value <= (1+zeta) alpha] >= 1 - delta,
-    up to that root deviation, which is absorbed into zeta.
+    ``lazy_step`` at a time on oracle-backed ones.  There a sample draws
+    its T uniforms with one ``rng.random(T)``, the same stream as T
+    scalar draws, and a table that lives for the call asks
+    ``tree.children`` once per node when S_i has at most 2^12 nodes.
+    The estimate satisfies
+    P[(1-zeta) alpha <= value <= (1+zeta) alpha] >= 1 - delta, up to
+    that root deviation, which is absorbed into zeta.
     """
     if tree.is_empty:
         raise ValueError("cannot estimate alpha of an empty tree")
@@ -473,13 +488,14 @@ def estimate_alpha(
             return next(batched)
 
     else:
+        children = functools.lru_cache(maxsize=_CHILDREN_ENTRIES)(tree.children)
 
         def draw_hits(m: int) -> int:
             hits = 0
             for _ in range(m):
                 node: NodePath = ROOT
-                for _ in range(steps):
-                    node = lazy_step(tree, node, rng, height)
+                for u in rng.random(steps).tolist():
+                    node = lazy_step(children, node, u, height)
                 hits += node == ROOT
             return hits
 

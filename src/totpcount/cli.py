@@ -8,6 +8,7 @@ randomized commands so every run is reproducible.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -276,9 +277,10 @@ def run_bench(suite: str, out: str) -> dict:
         if "input" in kwargs and not Path(kwargs["input"]).is_absolute():
             kwargs["input"] = str(suite_path.parent / kwargs["input"])
         try:
-            records.append(runner(**kwargs))
+            inspect.signature(runner).bind(**kwargs)
         except TypeError as exc:
             raise ParseError(f"{suite}: run {idx}: bad arguments: {exc}") from exc
+        records.append(runner(**kwargs))
     with open(out, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

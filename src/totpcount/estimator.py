@@ -223,9 +223,7 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
 
 def _tree_of(source: BranchingTree | SelfReducibleInstance) -> BranchingTree:
     if isinstance(source, SelfReducibleInstance):
-        # Memoized replay, for this call only: the chain transport's walk
-        # asks for the same nodes' children over and over.
-        return build_branching_tree(source, memoize=True)
+        return build_branching_tree(source)
     return source
 
 

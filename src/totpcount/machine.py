@@ -14,12 +14,12 @@ rightmost).  A wrapped machine with f solutions then has f tree nodes and
 f+1 maximal runs.
 
 The ``children`` oracle replays the machine from its initial state along
-the node's path on every call, keeping the oracle pure; an optional memo
-keyed by node path holds each node's split pair, so a node's children
-are advanced once; the library keeps a memoized tree for one call only.
-Whole-tree enumeration goes through ``InstanceTree.iter_nodes`` instead: a
-depth-first walk that keeps every pending node's split pair on its stack,
-so each tree edge costs one advance and no path is ever replayed.
+the node's path on every call, keeping the oracle pure and the tree
+stateless; the chain walk, which asks for the same nodes over and over,
+keeps its own children table for one call.  Whole-tree enumeration goes
+through ``InstanceTree.iter_nodes`` instead: a depth-first walk that
+keeps every pending node's split pair on its stack, so each tree edge
+costs one advance and no path is ever replayed.
 """
 from __future__ import annotations
 
@@ -127,17 +127,14 @@ class InstanceTree(BranchingTree):
 
     Node count equals the instance's solution count; height is declared as
     the instance's branch bound.  ``children`` replays the node's path
-    from the initial state, or, on a memoized tree, advances the node's
-    memoized split pair and stores the child pairs it finds, so a later
-    query on a child starts from them.  ``iter_nodes`` enumerates the
-    whole tree with one advance per edge and needs no memo.
+    from the initial state; ``iter_nodes`` enumerates the whole tree
+    with one advance per edge.
     """
 
-    def __init__(self, instance: SelfReducibleInstance, memoize: bool = False):
+    def __init__(self, instance: SelfReducibleInstance):
         self.instance = instance
         self.height = instance.branch_bound
         self._nonempty = bool(instance.decision(instance.initial))
-        self._memo: dict[NodePath, tuple[_Cursor, _Cursor]] | None = {} if memoize else None
 
     @property
     def is_empty(self) -> bool:
@@ -145,17 +142,6 @@ class InstanceTree(BranchingTree):
 
     def _split_at(self, node: NodePath) -> tuple[_Cursor, _Cursor]:
         """Child cursors of the split point addressed by ``node``."""
-        if self._memo is not None:
-            hit = self._memo.get(node)
-            if hit is not None:
-                return hit
-            if node:
-                parent_pair = self._split_at(node[:-1])
-                pair = _advance(self.instance, parent_pair[node[-1]])
-                if pair is None:
-                    raise NotInTreeError(f"node {node!r} is not in the branching tree")
-                self._memo[node] = pair
-                return pair
         cur = _Cursor(self.instance.initial, True, 0, 0)
         pair = _advance(self.instance, cur)
         if pair is None:
@@ -164,8 +150,6 @@ class InstanceTree(BranchingTree):
             pair = _advance(self.instance, pair[bit])
             if pair is None:
                 raise NotInTreeError(f"node {node[: depth + 1]!r} is not in the branching tree")
-        if self._memo is not None:
-            self._memo[node] = pair
         return pair
 
     def children(self, node: NodePath) -> tuple[NodePath, ...]:
@@ -173,15 +157,7 @@ class InstanceTree(BranchingTree):
             raise NotInTreeError("the branching tree is empty")
         node = tuple(node)
         pair = self._split_at(node)
-        out = []
-        for b in (0, 1):
-            child_pair = _advance(self.instance, pair[b])
-            if child_pair is not None:
-                child = node + (b,)
-                if self._memo is not None:
-                    self._memo[child] = child_pair
-                out.append(child)
-        return tuple(out)
+        return tuple(node + (b,) for b in (0, 1) if _advance(self.instance, pair[b]) is not None)
 
     def iter_nodes(self, max_depth: int | None = None) -> Iterator[NodePath]:
         """Depth-first preorder over the nodes, one machine advance per edge.
@@ -221,10 +197,10 @@ class InstanceTree(BranchingTree):
             return False
 
 
-def build_branching_tree(instance: SelfReducibleInstance, memoize: bool = False) -> InstanceTree:
+def build_branching_tree(instance: SelfReducibleInstance) -> InstanceTree:
     """Branching tree with node count equal to the instance's value.
 
     For a zero-valued instance the returned tree is empty and no machine
     run is ever replayed.
     """
-    return InstanceTree(instance, memoize=memoize)
+    return InstanceTree(instance)

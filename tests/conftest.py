@@ -6,17 +6,3 @@ import pytest
 def rng():
     return np.random.default_rng(20240817)
 
-
-class ScriptedRng:
-    """Stands in for a Generator where a test needs exact uniform draws."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
-
-
-@pytest.fixture
-def scripted_rng():
-    return ScriptedRng

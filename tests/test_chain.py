@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from totpcount import (
     EstimatorConfig,
     ExplicitTree,
     Graph,
+    InstanceTree,
+    MonotoneCircuit,
     burn_in_steps,
     build_branching_tree,
     dnf_instance,
@@ -20,6 +23,7 @@ from totpcount import (
     is_instance,
     lazy_step,
     materialize,
+    monotone_instance,
     random_tree,
     root_mass_exact,
     stationary_exact,
@@ -33,39 +37,40 @@ from totpcount.chain import (
     repetitions_for,
     sample_size_for,
 )
+from totpcount.estimator import derived_rng
 from totpcount.trees import ROOT
 
 
 # --- one-step kernel
 
 
-def test_lazy_step_internal_node(scripted_rng):
+def test_lazy_step_internal_node():
     tree = full_binary_tree(2)
     node = (0,)
-    assert lazy_step(tree, node, scripted_rng([0.1]), tree.height) == ()  # parent at u < 1/4
-    assert lazy_step(tree, node, scripted_rng([0.3]), tree.height) == (0, 0)  # left child
-    assert lazy_step(tree, node, scripted_rng([0.4]), tree.height) == (0, 1)  # right child
-    assert lazy_step(tree, node, scripted_rng([0.7]), tree.height) == node  # lazy hold
+    assert lazy_step(tree.children, node, 0.1, tree.height) == ()  # parent at u < 1/4
+    assert lazy_step(tree.children, node, 0.3, tree.height) == (0, 0)  # left child
+    assert lazy_step(tree.children, node, 0.4, tree.height) == (0, 1)  # right child
+    assert lazy_step(tree.children, node, 0.7, tree.height) == node  # lazy hold
 
 
-def test_lazy_step_root_holds_instead_of_parent(scripted_rng):
+def test_lazy_step_root_holds_instead_of_parent():
     tree = full_binary_tree(2)
-    assert lazy_step(tree, (), scripted_rng([0.1]), tree.height) == ()
-    assert lazy_step(tree, (), scripted_rng([0.3]), tree.height) == (0,)
+    assert lazy_step(tree.children, (), 0.1, tree.height) == ()
+    assert lazy_step(tree.children, (), 0.3, tree.height) == (0,)
 
 
-def test_lazy_step_leaf_holds_instead_of_children(scripted_rng):
+def test_lazy_step_leaf_holds_instead_of_children():
     tree = full_binary_tree(2)
     leaf = (0, 0)
-    assert lazy_step(tree, leaf, scripted_rng([0.1]), tree.height) == (0,)
-    assert lazy_step(tree, leaf, scripted_rng([0.3]), tree.height) == leaf
-    assert lazy_step(tree, leaf, scripted_rng([0.45]), tree.height) == leaf
+    assert lazy_step(tree.children, leaf, 0.1, tree.height) == (0,)
+    assert lazy_step(tree.children, leaf, 0.3, tree.height) == leaf
+    assert lazy_step(tree.children, leaf, 0.45, tree.height) == leaf
 
 
-def test_lazy_step_missing_child_holds(scripted_rng):
+def test_lazy_step_missing_child_holds():
     tree = ExplicitTree([(), (1,)])
-    assert lazy_step(tree, (), scripted_rng([0.3]), tree.height) == ()  # no left child
-    assert lazy_step(tree, (), scripted_rng([0.4]), tree.height) == (1,)
+    assert lazy_step(tree.children, (), 0.3, tree.height) == ()  # no left child
+    assert lazy_step(tree.children, (), 0.4, tree.height) == (1,)
 
 
 # --- burn-in schedule
@@ -405,8 +410,8 @@ def test_scalar_walk_matches_stationary_on_instance_tree(rng):
     hits = {(): 0, (1,): 0}
     for _ in range(1500):
         node = ROOT
-        for _ in range(60):
-            node = lazy_step(tree, node, rng, tree.height)
+        for u in rng.random(60):
+            node = lazy_step(tree.children, node, u, tree.height)
         hits[node] += 1
     empirical = {p: c / 1500 for p, c in hits.items()}
     exact = {(): Fraction(2, 3), (1,): Fraction(1, 3)}
@@ -569,6 +574,43 @@ def test_scalar_walk_stays_within_the_truncation_depth(tree, monkeypatch):
         estimate_alpha(tree, i, 0.5, 0.5, ChainParams(0.05), rng=np.random.default_rng(i))
         # The walk reaches depth i where the tree has nodes there, and never goes below it.
         assert max(map(len, visited)) == min(i, deepest)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        build_branching_tree(is_instance(Graph.from_edges(4, [(1, 2)]))),
+        build_branching_tree(dnf_instance(DnfFormula(4, ((1,), (2, 3))))),
+        # (x0 OR x1) AND x2: three satisfying assignments.
+        build_branching_tree(
+            monotone_instance(MonotoneCircuit(3, (("OR", 0, 1), ("AND", 3, 2)), 4))
+        ),
+    ],
+    ids=["is", "dnf", "mono"],
+)
+def test_scalar_walk_asks_each_node_once(tree, monkeypatch):
+    asked = Counter()
+    children = InstanceTree.children
+
+    def counted(self, node):
+        asked[node] += 1
+        return children(self, node)
+
+    monkeypatch.setattr(InstanceTree, "children", counted)
+    for i in range(1, tree.height + 1):
+        asked.clear()
+        estimate_alpha(tree, i, 0.5, 0.5, ChainParams(0.05), rng=np.random.default_rng(i))
+        assert asked and max(asked.values()) == 1
+        assert set(asked) <= set(tree.iter_nodes(i))
+
+
+@pytest.mark.parametrize("n", [1, 23, 1000])
+def test_bulk_uniforms_are_the_scalar_stream(n):
+    # The scalar walk draws a sample's uniforms in one call; its records
+    # match one draw per step only because the two streams are equal.
+    bulk, scalar = derived_rng(7, 3), derived_rng(7, 3)
+    assert bulk.random(n).tolist() == [scalar.random() for _ in range(n)]
+    assert bulk.random() == scalar.random()
 
 
 def test_estimate_alpha_validates_parameters(rng):

@@ -10,6 +10,7 @@ from totpcount import (
     save_graph,
     save_tree,
 )
+from totpcount import cli
 from totpcount.cli import main
 from totpcount.problems import CnfFormula, save_cnf
 from totpcount.trees import ExplicitTree, random_tree
@@ -319,3 +320,30 @@ def test_bench_relative_inputs(capsys, tmp_path):
     assert code == 0
     line = json.loads(out.read_text().splitlines()[0])
     assert line["value"] == 2
+
+
+def _exact_suite(tmp_path, **extra):
+    save_tree(ExplicitTree([(), (1,)]), tmp_path / "t.tree")
+    suite = tmp_path / "suite.json"
+    run = {"command": "exact", "problem": "tree", "input": "t.tree", "threshold": 5, **extra}
+    suite.write_text(json.dumps({"runs": [run]}), encoding="utf-8")
+    return suite
+
+
+def test_bench_unknown_keyword_is_a_parse_error(capsys, tmp_path):
+    suite = _exact_suite(tmp_path, thresold=5)
+    code = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert "bad arguments" in capsys.readouterr().err
+
+
+def test_bench_runner_type_error_propagates(tmp_path, monkeypatch):
+    # A TypeError raised inside a runner is a bug in the package, not a
+    # bad manifest, so it must not be reported as exit code 2.
+    def broken(*args, **kwargs):
+        raise TypeError("raised inside the runner")
+
+    monkeypatch.setattr(cli, "count_up_to", broken)
+    suite = _exact_suite(tmp_path)
+    with pytest.raises(TypeError, match="raised inside the runner"):
+        main(["bench", "--suite", str(suite), "--out", str(tmp_path / "o.jsonl")])

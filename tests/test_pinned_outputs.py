@@ -4,9 +4,9 @@ Each case runs one ``cli.run_*`` runner on a fixed input and seed, and
 its record must equal the pinned one in every field except
 ``wall_time_s`` (timing) and ``input`` (a temporary path).  The pins
 cover both sampling paths of the chain transport (an explicit tree, and
-an independent-set and a DNF instance tree) and the exact transport
-through ``capp`` and ``ras``, so a refactor of either path that changes
-a single draw shows up here.
+an independent-set, a DNF and a monotone-circuit instance tree) and the
+exact transport through ``capp`` and ``ras``, so a refactor of either
+path that changes a single draw shows up here.
 
 To re-pin after a deliberate change of output, run this file as a
 script with the package on the path; it prints the expected records.
@@ -17,7 +17,14 @@ import sys
 import pytest
 
 from totpcount import cli
-from totpcount.problems import DnfFormula, Graph, save_dnf, save_graph
+from totpcount.problems import (
+    DnfFormula,
+    Graph,
+    MonotoneCircuit,
+    save_circuit,
+    save_dnf,
+    save_graph,
+)
 from totpcount.trees import ExplicitTree, save_tree
 
 # A height-4 tree of 11 nodes, and a height-6 tree of 20 nodes that is
@@ -33,6 +40,8 @@ INPUTS = {
     # Two of the four assignments satisfy x1.
     "x1.dnf": lambda path: save_dnf(DnfFormula(2, ((1,),)), path),
     "six.dnf": lambda path: save_dnf(DnfFormula(6, ((1, 2), (-3, 4, 5), (2, -6))), path),
+    # x0 OR x1 on two inputs: three satisfying assignments.
+    "or2.circuit": lambda path: save_circuit(MonotoneCircuit(2, (("OR", 0, 1),), 2), path),
 }
 
 CASES = {
@@ -47,6 +56,10 @@ CASES = {
     "estimate-dnf-chain": (
         "estimate",
         dict(problem="dnf", input="x1.dnf", xi=1.0, delta=0.9, seed=13, burn_const=0.025),
+    ),
+    "estimate-mono-chain": (
+        "estimate",
+        dict(problem="mono", input="or2.circuit", xi=1.0, delta=0.9, seed=16, burn_const=0.025),
     ),
     "capp-dnf-exact": (
         "capp",
@@ -134,6 +147,28 @@ PINNED = {
             "xi": 1.0
         },
         "problem": "is",
+        "samples": 27648,
+        "steps": 423936
+    },
+    "estimate-mono-chain": {
+        "command": "estimate",
+        "degenerate_depths": 0,
+        "error_radius": 8.0,
+        "estimate": 3.467597515695452,
+        "estimate_clamped": 3,
+        "fraction": 0.4334496894619315,
+        "fraction_clamped": 0.4334496894619315,
+        "height": 3,
+        "mode": "telescoping",
+        "params": {
+            "burn_const": 0.025,
+            "delta": 0.9,
+            "seed": 16,
+            "transport": "chain",
+            "workers": 1,
+            "xi": 1.0
+        },
+        "problem": "mono",
         "samples": 27648,
         "steps": 423936
     },
