@@ -9,8 +9,11 @@ branching tree has exactly as many nodes as the quantity being counted:
 
 All adapters split on the lowest-numbered remaining vertex/variable, so
 runs are reproducible, and declare ``branch_bound = n + 1`` (the +1 pays
-for the synthetic final split).  ``cnf_complement`` maps a CNF formula to
-the DNF of its negation, which counts the *non*-solutions.
+for the synthetic final split).  DNF and monotone steps are bitmask
+operations on an int carried in the state: the terms still consistent
+with the prefix, or the circuit's node values with unassigned inputs
+at 1.  ``cnf_complement`` maps a CNF formula to the DNF of its
+negation, which counts the *non*-solutions.
 
 The independent-set count deliberately excludes the empty set: the
 decision version must be nontrivially easy (any single vertex is an
@@ -114,21 +117,6 @@ class MonotoneCircuit:
         elif not 0 <= self.output < self.n_inputs + len(self.gates):
             raise ValueError("output references an unknown node")
 
-    def evaluate(self, assignment, default: int = 1) -> int:
-        """Evaluate with unassigned inputs set to ``default``."""
-        if self.output == -1:
-            return 0
-        values = [
-            (assignment[i] if i < len(assignment) else default)
-            for i in range(self.n_inputs)
-        ]
-        for op, a, b in self.gates:
-            if op == "AND":
-                values.append(values[a] & values[b])
-            else:
-                values.append(values[a] | values[b])
-        return values[self.output]
-
 
 # ---------------------------------------------------------------------------
 # adapters
@@ -218,23 +206,53 @@ def dnf_instance(phi: DnfFormula) -> SelfReducibleInstance:
 def monotone_instance(circuit: MonotoneCircuit) -> SelfReducibleInstance:
     """Machine counting satisfying assignments of a monotone circuit.
 
-    Monotonicity makes the decision exact: a prefix leads to a solution
-    iff the circuit accepts when every unassigned input is forced to 1.
+    A state is (k, values): the first k inputs are assigned, and bit v of
+    values is node v's value when every unassigned input is 1.
+    Monotonicity makes the decision exact: the prefix leads to a solution
+    iff the output's bit is set.  AND and OR of 1s are 1, so with nothing
+    assigned every node is 1.
+
+    Setting input k to 1 changes no value, since the state already
+    assumed it, so the high child is the state's values again: free, and
+    a solution prefix whenever the state is one.  Setting it to 0 can only
+    clear bits.  ``lower`` clears input k and then follows a fanout table
+    built once per instance: each node lists its readers as (gate bit,
+    gate node, other-operand bit), the other bit 0 for an AND gate.  A
+    reader still at 1 goes to 0 when its other operand is 0, which covers
+    AND gates, OR gates and gates that read one node twice, and each node
+    that goes to 0 has its own readers rechecked.
     """
     n = circuit.n_inputs
-    initial: tuple[int, ...] = ()
+    n_nodes = n + len(circuit.gates)
+    fanout: list[list[tuple[int, int, int]]] = [[] for _ in range(n_nodes)]
+    for g, (op, a, b) in enumerate(circuit.gates, start=n):
+        fanout[a].append((1 << g, g, 0 if op == "AND" else 1 << b))
+        if b != a:
+            fanout[b].append((1 << g, g, 0 if op == "AND" else 1 << a))
+    out_bit = 0 if circuit.output == -1 else 1 << circuit.output
+    initial = (0, (1 << n_nodes) - 1)
 
-    def decision(assigned: tuple[int, ...]) -> bool:
-        return circuit.evaluate(assigned, default=1) == 1
+    def lower(values: int, k: int) -> int:
+        values &= ~(1 << k)
+        cleared = [k]
+        while cleared:
+            for gbit, g, other in fanout[cleared.pop()]:
+                if values & gbit and not values & other:
+                    values ^= gbit
+                    cleared.append(g)
+        return values
 
-    def step(assigned: tuple[int, ...]) -> StepOutcome:
-        if len(assigned) == n:
+    def decision(state: tuple[int, int]) -> bool:
+        return bool(state[1] & out_bit)
+
+    def step(state: tuple[int, int]) -> StepOutcome:
+        k, values = state
+        if k == n:
             return HALT
-        low, high = assigned + (0,), assigned + (1,)
-        # decision(high) equals decision(assigned) by monotonicity.
-        if decision(low):
-            return Branch(low, high)
-        return Deterministic(high)
+        low = lower(values, k)
+        if low & out_bit:
+            return Branch((k + 1, low), (k + 1, values))
+        return Deterministic((k + 1, values))
 
     return SelfReducibleInstance(
         initial=initial,
@@ -442,6 +460,14 @@ def load_circuit(path) -> MonotoneCircuit:
 
 
 def save_circuit(circuit: MonotoneCircuit, path) -> None:
+    """Write ``circuit`` in the format ``load_circuit`` reads.
+
+    The format's ``output g`` line must name a declared node, so the
+    empty circuit (``output == -1``) has no file form; it raises
+    ValueError before any file is opened.
+    """
+    if circuit.output == -1:
+        raise ValueError("the empty circuit has no output node to write")
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(circuit.n_inputs):
             fh.write(f"input {i + 1}\n")

@@ -5,8 +5,9 @@ its record must equal the pinned one in every field except
 ``wall_time_s`` (timing) and ``input`` (a temporary path).  The pins
 cover both sampling paths of the chain transport (an explicit tree, and
 an independent-set, a DNF and a monotone-circuit instance tree) and the
-exact transport through ``capp`` and ``ras``, so a refactor of either
-path that changes a single draw shows up here.
+exact transport through ``capp`` (on a DNF formula and on a monotone
+circuit) and ``ras``, so a refactor of either path that changes a single
+draw shows up here.
 
 To re-pin after a deliberate change of output, run this file as a
 script with the package on the path; it prints the expected records.
@@ -42,6 +43,17 @@ INPUTS = {
     "six.dnf": lambda path: save_dnf(DnfFormula(6, ((1, 2), (-3, 4, 5), (2, -6))), path),
     # x0 OR x1 on two inputs: three satisfying assignments.
     "or2.circuit": lambda path: save_circuit(MonotoneCircuit(2, (("OR", 0, 1),), 2), path),
+    # Nine inputs, both gate kinds, an AND of node 4 with itself, and the
+    # output on node 15 (gate 6), which a later gate reads; inputs 7 and 8
+    # lie outside the output's cone.
+    "nine.circuit": lambda path: save_circuit(
+        MonotoneCircuit(9, (
+            ("OR", 0, 1), ("AND", 2, 3), ("OR", 9, 10), ("AND", 4, 4),
+            ("OR", 5, 6), ("AND", 12, 13), ("OR", 11, 14), ("AND", 15, 7),
+            ("OR", 16, 8),
+        ), 15),
+        path,
+    ),
 }
 
 CASES = {
@@ -64,6 +76,11 @@ CASES = {
     "capp-dnf-exact": (
         "capp",
         dict(problem="dnf", input="six.dnf", epsilon=0.2, delta=0.2, seed=14, transport="exact"),
+    ),
+    "capp-mono-exact": (
+        "capp",
+        dict(problem="mono", input="nine.circuit", epsilon=0.2, delta=0.2, seed=17,
+             transport="exact"),
     ),
     "ras-tree-exact": (
         "ras",
@@ -90,6 +107,22 @@ def run_case(name: str, directory) -> dict:
 
 # Recorded with ``python tests/test_pinned_outputs.py``.
 PINNED = {
+    "capp-mono-exact": {
+        "command": "capp",
+        "p_hat": 0.8698765498905239,
+        "params": {
+            "burn_const": 2.0,
+            "delta": 0.2,
+            "epsilon": 0.2,
+            "seed": 17,
+            "transport": "exact",
+            "workers": 1
+        },
+        "problem": "mono",
+        "route": "direct",
+        "samples": 415272000,
+        "steps": 0
+    },
     "capp-dnf-exact": {
         "command": "capp",
         "p_hat": 0.4562265342092484,

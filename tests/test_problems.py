@@ -10,6 +10,7 @@ from totpcount import (
     MonotoneCircuit,
     ParseError,
     SelfReducibleInstance,
+    build_branching_tree,
     cnf_complement,
     count_independent_sets,
     count_sat,
@@ -174,6 +175,64 @@ def test_dnf_masks_match_bruteforce_at_the_edges(rng):
         assert len(materialize_tree(dnf_instance(phi)).nodes) == count_sat(phi)
 
 
+def _with_random_output(rng, circuit: MonotoneCircuit) -> MonotoneCircuit:
+    """``circuit`` with its output moved to a node drawn from all of them."""
+    n_nodes = circuit.n_inputs + len(circuit.gates)
+    return MonotoneCircuit(circuit.n_inputs, circuit.gates, int(rng.integers(0, n_nodes)))
+
+
+def _accepts_with_ones(circuit: MonotoneCircuit, assigned: tuple[int, ...]) -> bool:
+    """Whether ``circuit`` accepts when every input past ``assigned`` is 1."""
+    if circuit.output == -1:
+        return False
+    values = list(assigned) + [1] * (circuit.n_inputs - len(assigned))
+    for op, a, b in circuit.gates:
+        values.append(values[a] & values[b] if op == "AND" else values[a] | values[b])
+    return values[circuit.output] == 1
+
+
+def _prefix_monotone_instance(circuit: MonotoneCircuit) -> SelfReducibleInstance:
+    """Reference machine: states are assignment prefixes, the circuit re-evaluated each step."""
+
+    def decision(assigned):
+        return _accepts_with_ones(circuit, assigned)
+
+    def step(assigned):
+        if len(assigned) == circuit.n_inputs:
+            return HALT
+        low, high = assigned + (0,), assigned + (1,)
+        if decision(low) and decision(high):
+            return Branch(low, high)
+        return Deterministic(low if decision(low) else high)
+
+    n = circuit.n_inputs
+    return SelfReducibleInstance((), step, decision, n + 1, 2 * (n + 2))
+
+
+def test_monotone_values_give_the_prefix_machines_tree(rng):
+    cases = [
+        # AND and OR gates that read one node twice, feeding each other.
+        MonotoneCircuit(3, (("AND", 0, 0), ("OR", 1, 1), ("AND", 3, 4), ("OR", 5, 2)), 6),
+        MonotoneCircuit(2, (("OR", 0, 0), ("AND", 2, 1)), 2),
+        # The output on an input, with gates above it.
+        MonotoneCircuit(3, (("AND", 0, 1), ("OR", 3, 2)), 1),
+        # Inputs 2..4 are read by no gate.
+        MonotoneCircuit(5, (("OR", 0, 1),), 5),
+        MonotoneCircuit(1, (), 0),
+        MonotoneCircuit(1, (("AND", 0, 0),), 1),
+        MonotoneCircuit(0, (), -1),
+    ]
+    cases += [
+        _with_random_output(rng, random_monotone_circuit(
+            rng, int(rng.integers(1, 9)), int(rng.integers(0, 10))))
+        for _ in range(200)
+    ]
+    for circuit in cases:
+        values = build_branching_tree(monotone_instance(circuit)).iter_nodes()
+        prefixes = build_branching_tree(_prefix_monotone_instance(circuit)).iter_nodes()
+        assert list(values) == list(prefixes), circuit
+
+
 def test_branch_bound_is_n_plus_one(rng):
     g = random_graph(rng, 7, 0.3)
     assert is_instance(g).branch_bound == 8
@@ -236,10 +295,19 @@ def test_cnf_file_roundtrip(tmp_path, rng):
 
 
 def test_circuit_file_roundtrip(tmp_path, rng):
-    c = random_monotone_circuit(rng, 4, 3)
     path = tmp_path / "c.mono"
-    save_circuit(c, path)
-    assert load_circuit(path) == c
+    for _ in range(50):
+        c = _with_random_output(rng, random_monotone_circuit(
+            rng, int(rng.integers(1, 9)), int(rng.integers(0, 10))))
+        save_circuit(c, path)
+        assert load_circuit(path) == c
+
+
+def test_empty_circuit_has_no_file_form(tmp_path):
+    path = tmp_path / "empty.mono"
+    with pytest.raises(ValueError):
+        save_circuit(MonotoneCircuit(0, (), -1), path)
+    assert not path.exists()
 
 
 def test_cnf_multiline_clauses(tmp_path):
