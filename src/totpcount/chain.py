@@ -25,16 +25,18 @@ On an explicit tree ``estimate_alpha`` walks all t repetitions of m
 samples of a depth together, in the fewest ``walk_batch`` calls of at
 most 2^15 walkers that hold whole repetitions, and splits each call's
 finals back into per-repetition root-hit counts.  On an oracle-backed
-tree it walks one scalar ``lazy_step`` at a time, in the interval form
-of the lazy kernel, on one array of T uniforms per sample.  Its
-``children`` queries (a machine replay each) go through a least-recently
-used table that lives for the call and holds up to 2^12 nodes, so on a
-truncation of up to 2^12 nodes each node is asked once.  Either way the
-walk at depth i runs on the truncation S_i of the tree it is given,
-with no tree object for S_i: ``IndexedTree(tree, i)`` indexes only the
-nodes of depth <= i, so the child moves of depth-i nodes find no child
-and hold, and ``lazy_step(children, node, u, i)`` holds on those moves
-without asking the tree.
+tree it walks one sample at a time, on one array of T uniforms per
+sample, over a table of the rows of S_i that grows as the walk finds
+nodes (``_GrownRows``): a row's child columns are filled by one
+``children`` query (a machine replay) the first time a walker there
+draws a child move, so each node is asked at most once and no node the
+walk never reaches is asked at all.  Its moves are exactly those of
+``lazy_step``, the interval form of the lazy kernel, which stays as the
+reference rule.  Either way the walk at depth i runs on the truncation
+S_i of the tree it is given, with no tree object for S_i:
+``IndexedTree(tree, i)`` indexes only the nodes of depth <= i, and the
+grown table gives rows at depth i hold columns without asking the tree,
+so the child moves of depth-i nodes find no child and hold.
 
 Sample-size rule: estimating pi(root) within a factor (1 +- zeta) with
 failure probability <= 1/4 needs m = ceil(4(n+1)/zeta^2) independent
@@ -44,7 +46,6 @@ repetitions.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,13 +118,10 @@ def burn_in_steps(height: int, root_deviation: float, constant: float = 2.0) -> 
     return math.ceil(constant * 16 * n1 * n1 * (math.log(n1) + math.log(1.0 / root_deviation)))
 
 
-# Nodes whose children the scalar walk keeps per estimate_alpha call, so
-# the table stays bounded on large oracle-backed trees.
-_CHILDREN_ENTRIES = 1 << 12
-
-
-# The scalar walk calls ``lazy_step`` through this module's namespace
-# because the benchmark tracer, benchmarks/tracer.py, patches it there.
+# The reference rule for one scalar move.  The walk over oracle-backed
+# trees makes exactly these moves on its grown table (``_GrownRows``), and
+# the tests compare the two.  The benchmark tracer, benchmarks/tracer.py,
+# patches ``chain.lazy_step`` and refuses to run without it.
 def lazy_step(
     children: Callable[[NodePath], tuple[NodePath, ...]],
     node: NodePath,
@@ -372,6 +370,88 @@ def _cut_codes(words: np.ndarray, bits: int) -> np.ndarray:
     return codes
 
 
+# ---------------------------------------------------------------------------
+# scalar walking on oracle-backed trees
+
+
+# Rows the scalar walk may grow in one estimate_alpha call, at about 80
+# bytes a row (85 MB at the cap); past it the call raises SizeGuardError
+# rather than evict.
+_MAX_ROWS = 1 << 20
+
+
+class _GrownRows:
+    """The rows of S_i that the scalar walk has found, for one ``estimate_alpha`` call.
+
+    Laid out like ``IndexedTree.flat_table`` pre-shifted for ``_advance``:
+    ``table[4 k + b]`` is 4 times the row reached from row k by the Q move
+    whose draw is b in {0..3} (0 and 1 to the parent, 2 to the left child,
+    3 to the right child; a hold is 4 k).  A row is stored by that
+    offset 4 k, and the root is row 0.  A row starts with its parent
+    columns set and its child columns at -1, unknown, except at depth i,
+    where the truncation has no children and they hold.  The first child
+    draw at an unknown row expands it: its path is rebuilt from the parent
+    links and one ``tree.children`` query fills both child columns,
+    appending a row for each child present.  So the tree is asked once
+    per node the walk reaches with a child draw, and never about a node
+    of depth i or below.
+    """
+
+    def __init__(self, tree: BranchingTree, depth: int, planned_steps: int):
+        self.tree, self.depth, self.planned_steps = tree, depth, planned_steps
+        self.table = [0, 0, -1, -1]
+
+    def walk(self, uniforms: list[float]) -> int:
+        """Offset of the row reached from the root by one lazy step per uniform.
+
+        Draw u moves by column ``int(8 u)`` when u < 1/2 and holds
+        otherwise, which is ``lazy_step``'s partition bit for bit: the
+        parent below 1/4 (columns 0 and 1 agree), the left child on
+        [1/4, 3/8) and the right child on [3/8, 1/2).  The column is
+        found by those comparisons, which cost less than ``int(8 * u)``.
+        """
+        table, at = self.table, 0
+        for u in uniforms:
+            if u < 0.5:
+                if u < 0.25:
+                    at = table[at]
+                else:
+                    column = at + 2 if u < 0.375 else at + 3
+                    to = table[column]
+                    if to < 0:
+                        self._expand(at)
+                        to = table[column]
+                    at = to
+        return at
+
+    def path(self, at: int) -> NodePath:
+        """Path of the row at offset ``at``, read off the parent links."""
+        table, bits = self.table, []
+        while at:
+            up = table[at]
+            bits.append(1 if table[up + 3] == at else 0)
+            at = up
+        return tuple(reversed(bits))
+
+    def _expand(self, at: int) -> None:
+        table = self.table
+        node = self.path(at)
+        present = self.tree.children(node)
+        for b in (0, 1):
+            if node + (b,) not in present:
+                table[at + 2 + b] = at
+                continue
+            if len(table) >= 4 * _MAX_ROWS:
+                raise SizeGuardError(
+                    f"the walk at depth {self.depth} outgrew its cap of {_MAX_ROWS} rows "
+                    f"of S_{self.depth} ({self.planned_steps} planned steps)"
+                )
+            row = len(table)
+            table[at + 2 + b] = row
+            hold = row if len(node) + 1 == self.depth else -1
+            table += (at, at, hold, hold)
+
+
 def sample_size_for(height: int, zeta: float) -> int:
     """Draws per repetition for a (1 +- zeta) root-mass estimate at 3/4 confidence."""
     return math.ceil(4 * (height + 1) / (zeta * zeta))
@@ -453,11 +533,14 @@ def estimate_alpha(
     rng : numpy Generator; required unless the tree has a single node.
 
     Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
-    steps from the root: vectorized on explicit trees, one
-    ``lazy_step`` at a time on oracle-backed ones.  There a sample draws
-    its T uniforms with one ``rng.random(T)``, the same stream as T
-    scalar draws, and a table that lives for the call asks
-    ``tree.children`` once per node when S_i has at most 2^12 nodes.
+    steps from the root: vectorized on explicit trees, one scalar move at
+    a time on oracle-backed ones.  There a sample draws its T uniforms
+    with one ``rng.random(T)``, the same stream as T scalar draws, and
+    moves exactly as ``lazy_step`` would on each, over a table of the
+    rows of S_i that lives for the call and grows as the walk finds
+    nodes, asking ``tree.children`` once per node it expands.  A call
+    whose table would pass ``_MAX_ROWS`` rows (2^20) raises
+    SizeGuardError.
     The estimate satisfies
     P[(1-zeta) alpha <= value <= (1+zeta) alpha] >= 1 - delta, up to
     that root deviation, which is absorbed into zeta.
@@ -475,29 +558,18 @@ def estimate_alpha(
         raise ValueError("an rng is required for sampling")
 
     steps = burn_in_steps(height, zeta / (1 + zeta), params.burn_in_constant)
+    m, t = sample_size_for(height, zeta), repetitions_for(delta)
     if isinstance(tree, ExplicitTree):
-        batched = _batched_root_hits(
-            IndexedTree(tree, height),
-            sample_size_for(height, zeta),
-            repetitions_for(delta),
-            steps,
-            rng,
-        )
+        batched = _batched_root_hits(IndexedTree(tree, height), m, t, steps, rng)
 
         def draw_hits(m: int) -> int:
             return next(batched)
 
     else:
-        children = functools.lru_cache(maxsize=_CHILDREN_ENTRIES)(tree.children)
+        rows = _GrownRows(tree, height, m * t * steps)
 
         def draw_hits(m: int) -> int:
-            hits = 0
-            for _ in range(m):
-                node: NodePath = ROOT
-                for u in rng.random(steps).tolist():
-                    node = lazy_step(children, node, u, height)
-                hits += node == ROOT
-            return hits
+            return sum(rows.walk(rng.random(steps).tolist()) == 0 for _ in range(m))
 
     return _alpha_from_hits(height, zeta, delta, draw_hits, steps_per_sample=steps)
 

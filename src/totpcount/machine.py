@@ -15,8 +15,8 @@ f+1 maximal runs.
 
 The ``children`` oracle replays the machine from its initial state along
 the node's path on every call, keeping the oracle pure and the tree
-stateless; the chain walk, which asks for the same nodes over and over,
-keeps its own children table for one call.  Whole-tree enumeration goes
+stateless; the chain walk asks it once per node it expands, into a table
+of rows that it grows for one call (``chain._GrownRows``).  Whole-tree enumeration goes
 through ``InstanceTree.iter_nodes`` instead: a depth-first walk that
 keeps every pending node's split pair on its stack, so each tree edge
 costs one advance and no path is ever replayed.
@@ -99,7 +99,7 @@ def _advance(instance: SelfReducibleInstance, cur: _Cursor):
         return None
     step, budget = instance.step, instance.step_budget
     while True:
-        if steps > budget:
+        if steps >= budget:
             raise MalformedInstanceError(f"run exceeded the declared step budget of {budget}")
         outcome = step(state)
         steps += 1

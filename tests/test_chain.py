@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from collections import Counter
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from totpcount import (
+    AlphaEstimate,
     ChainParams,
     DnfFormula,
     EstimatorConfig,
@@ -14,6 +16,7 @@ from totpcount import (
     Graph,
     InstanceTree,
     MonotoneCircuit,
+    SizeGuardError,
     burn_in_steps,
     build_branching_tree,
     dnf_instance,
@@ -38,6 +41,7 @@ from totpcount.chain import (
     sample_size_for,
 )
 from totpcount.estimator import derived_rng
+from totpcount.generate import random_dnf, random_graph, random_monotone_circuit
 from totpcount.trees import ROOT
 
 
@@ -558,36 +562,60 @@ def test_estimate_alpha_walks_the_truncation_of_a_whole_explicit_tree():
     ids=["is", "dnf"],
 )
 def test_scalar_walk_stays_within_the_truncation_depth(tree, monkeypatch):
-    visited = []
-    step = chain.lazy_step
-
-    def recorded(*args):
-        node = step(*args)
-        visited.append(node)
-        return node
-
-    monkeypatch.setattr(chain, "lazy_step", recorded)
     deepest = max(map(len, materialize(tree).nodes))
     assert deepest < tree.height
+    asked = []
+    children = InstanceTree.children
+
+    def recorded(self, node):
+        asked.append(node)
+        return children(self, node)
+
+    monkeypatch.setattr(InstanceTree, "children", recorded)
     for i in range(1, tree.height):
-        visited.clear()
+        asked.clear()
         estimate_alpha(tree, i, 0.5, 0.5, ChainParams(0.05), rng=np.random.default_rng(i))
-        # The walk reaches depth i where the tree has nodes there, and never goes below it.
-        assert max(map(len, visited)) == min(i, deepest)
+        # Nodes at depth i hold without asking; the walk reaches depth
+        # i where the tree has nodes there, so it asks about their parents.
+        assert max(map(len, asked)) < i
+        assert min(i, deepest) - 1 in map(len, asked)
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [
-        build_branching_tree(is_instance(Graph.from_edges(4, [(1, 2)]))),
-        build_branching_tree(dnf_instance(DnfFormula(4, ((1,), (2, 3))))),
-        # (x0 OR x1) AND x2: three satisfying assignments.
-        build_branching_tree(
-            monotone_instance(MonotoneCircuit(3, (("OR", 0, 1), ("AND", 3, 2)), 4))
-        ),
-    ],
-    ids=["is", "dnf", "mono"],
-)
+def test_grown_walk_asks_at_most_once_per_step_and_stops_at_its_row_cap(monkeypatch):
+    # 2^30 independent sets: far more nodes than any walk can visit.
+    tree = build_branching_tree(is_instance(Graph.from_edges(30, [])))
+    i, zeta, delta, params = 30, 0.9, 0.9, ChainParams(0.001)
+    steps = burn_in_steps(i, zeta / (1 + zeta), params.burn_in_constant)
+    planned = sample_size_for(i, zeta) * repetitions_for(delta) * steps
+    asked = Counter()
+    children = InstanceTree.children
+
+    def counted(self, node):
+        asked[node] += 1
+        return children(self, node)
+
+    monkeypatch.setattr(InstanceTree, "children", counted)
+    est = estimate_alpha(tree, i, zeta, delta, params, rng=np.random.default_rng(5))
+    assert est.chain_steps == planned
+    assert 0 < sum(asked.values()) <= planned
+    assert max(asked.values()) == 1
+    monkeypatch.setattr(chain, "_MAX_ROWS", 8)
+    message = f"cap of 8 rows of S_30 \\({planned} planned steps\\)"
+    with pytest.raises(SizeGuardError, match=message):
+        estimate_alpha(tree, i, zeta, delta, params, rng=np.random.default_rng(5))
+
+
+ORACLE_TREES = {
+    "is": build_branching_tree(is_instance(Graph.from_edges(4, [(1, 2)]))),
+    "dnf": build_branching_tree(dnf_instance(DnfFormula(4, ((1,), (2, 3))))),
+    # (x0 OR x1) AND x2: three satisfying assignments.
+    "mono": build_branching_tree(
+        monotone_instance(MonotoneCircuit(3, (("OR", 0, 1), ("AND", 3, 2)), 4))
+    ),
+}
+
+
+@pytest.mark.parametrize("tree", ORACLE_TREES.values(), ids=ORACLE_TREES.keys())
 def test_scalar_walk_asks_each_node_once(tree, monkeypatch):
     asked = Counter()
     children = InstanceTree.children
@@ -602,6 +630,76 @@ def test_scalar_walk_asks_each_node_once(tree, monkeypatch):
         estimate_alpha(tree, i, 0.5, 0.5, ChainParams(0.05), rng=np.random.default_rng(i))
         assert asked and max(asked.values()) == 1
         assert set(asked) <= set(tree.iter_nodes(i))
+
+
+def _random_instance_trees(seed: int, per_kind: int) -> list[InstanceTree]:
+    """Nonempty trees of small random graphs, DNF formulas and monotone circuits."""
+    rng = np.random.default_rng(seed)
+    draws = [
+        lambda: is_instance(random_graph(rng, int(rng.integers(1, 5)), 0.4)),
+        lambda: dnf_instance(random_dnf(rng, int(rng.integers(1, 5)), 2, max_width=2)),
+        lambda: monotone_instance(random_monotone_circuit(rng, int(rng.integers(1, 4)), 3)),
+    ]
+    trees = []
+    for draw in draws:
+        for _ in range(per_kind):
+            tree = build_branching_tree(draw())
+            while tree.is_empty:
+                tree = build_branching_tree(draw())
+            trees.append(tree)
+    return trees
+
+
+def _lazy_step_estimate(tree, i, zeta, delta, params, rng) -> AlphaEstimate:
+    """The estimate of walking ``lazy_step`` itself, one sample per ``rng.random(T)``."""
+    children = functools.cache(tree.children)
+    m, t = sample_size_for(i, zeta), repetitions_for(delta)
+    steps = burn_in_steps(i, zeta / (1 + zeta), params.burn_in_constant)
+    fractions = []
+    for _ in range(t):
+        hits = 0
+        for _ in range(m):
+            node = ROOT
+            for u in rng.random(steps).tolist():
+                node = lazy_step(children, node, u, i)
+            hits += node == ROOT
+        fractions.append(hits / m)
+    p_hat = float(np.median(fractions))
+    degenerate = p_hat <= 0.0
+    if degenerate:
+        p_hat = 1.0 / (2.0 * m)
+    return AlphaEstimate(
+        p_hat * 2.0**-i, zeta, 1.0 - delta, m, t, p_hat, m * t * steps, degenerate
+    )
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [*ORACLE_TREES.values(), *_random_instance_trees(91, 3)],
+    ids=[*ORACLE_TREES.keys(), *(f"random{k}" for k in range(9))],
+)
+def test_grown_walk_gives_the_lazy_step_estimate(tree):
+    params = ChainParams(0.05)
+    for i in range(1, tree.height + 1):
+        walked = estimate_alpha(tree, i, 0.5, 0.5, params, rng=np.random.default_rng(i))
+        reference = _lazy_step_estimate(tree, i, 0.5, 0.5, params, np.random.default_rng(i))
+        assert walked == reference
+
+
+@pytest.mark.parametrize("tree", ORACLE_TREES.values(), ids=ORACLE_TREES.keys())
+def test_grown_rows_move_as_lazy_step_at_the_interval_ends(tree):
+    # lazy_step's intervals end at 1/4, 3/8 and 1/2; check each end and
+    # the draw just below it, from every node of every truncation.
+    ends = [0.25, 0.375, 0.5]
+    draws = ends + [float(np.nextafter(u, 0.0)) for u in ends]
+    children = functools.cache(tree.children)
+    for i in range(1, tree.height + 1):
+        rows = chain._GrownRows(tree, i, 0)
+        for node in tree.iter_nodes(i):
+            # Left child on [1/4, 3/8), right child on [3/8, 1/2).
+            to_node = [0.3 if b == 0 else 0.4 for b in node]
+            for u in draws:
+                assert rows.path(rows.walk(to_node + [u])) == lazy_step(children, node, u, i)
 
 
 @pytest.mark.parametrize("n", [1, 23, 1000])

@@ -177,6 +177,59 @@ def test_step_budget_violation_is_reported():
         tree.children(())
 
 
+def _straight_run(calls: int, budget: int) -> SelfReducibleInstance:
+    """One run of ``calls`` step calls: ``calls - 1`` Deterministic moves, then HALT."""
+    return SelfReducibleInstance(
+        initial=0,
+        step=lambda s: Deterministic(s + 1) if s < calls - 1 else HALT,
+        decision=lambda s: True,
+        branch_bound=1,
+        step_budget=budget,
+    )
+
+
+def test_a_run_may_use_its_whole_step_budget():
+    tree = build_branching_tree(_straight_run(3, budget=3))
+    assert tree.children(()) == ()
+    assert list(tree.iter_nodes()) == [()]
+
+
+def test_one_step_call_over_the_budget_raises():
+    tree = build_branching_tree(_straight_run(3, budget=2))
+    with pytest.raises(MalformedInstanceError, match="step budget of 2"):
+        tree.children(())
+    with pytest.raises(MalformedInstanceError, match="step budget of 2"):
+        list(tree.iter_nodes())
+
+
+def test_a_step_that_returns_no_outcome_is_reported():
+    tree = build_branching_tree(
+        SelfReducibleInstance(0, lambda s: s + 1, lambda s: True, branch_bound=3, step_budget=10)
+    )
+    with pytest.raises(MalformedInstanceError, match="not a StepOutcome"):
+        tree.children(())
+    with pytest.raises(MalformedInstanceError, match="not a StepOutcome"):
+        list(tree.iter_nodes())
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        # Splits forever: advancing the depth-2 nodes makes a third split.
+        (SelfReducibleInstance(0, lambda s: Branch(s + 1, s + 1), lambda s: True, 2, 100),
+         "branch bound of 2"),
+        # Never halts: the first run spends its budget before any split.
+        (SelfReducibleInstance(0, lambda s: Deterministic(s), lambda s: True, 3, 50),
+         "step budget of 50"),
+    ],
+    ids=["branch-bound", "step-budget"],
+)
+def test_enumeration_reports_overruns(instance, message):
+    tree = build_branching_tree(instance)
+    with pytest.raises(MalformedInstanceError, match=message):
+        list(tree.iter_nodes())
+
+
 def test_queries_outside_tree_raise():
     inst = dnf_instance(DnfFormula(2, ((1, 2),)))  # single node ()
     tree = build_branching_tree(inst)
