@@ -13,7 +13,6 @@ CNF, and monotone circuits.
 from .capp import CappResult, GapVerdict, capp, gap_csat
 from .chain import (
     AlphaEstimate,
-    ChainParams,
     burn_in_steps,
     estimate_alpha,
     lazy_step,

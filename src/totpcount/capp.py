@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import ChainParams
 from .errors import UnsupportedFamilyError
 from .estimator import EstimateReport, EstimatorConfig, estimate_size
 from .machine import build_branching_tree
@@ -31,7 +30,6 @@ class CappResult:
 
     p_hat: float
     epsilon: float
-    confidence: float
     route: str  # "direct" or "complement"
     report: EstimateReport
 
@@ -63,13 +61,14 @@ def capp(
     epsilon: float = DEFAULT_EPSILON,
     delta: float = 0.1,
     seed: int = 0,
-    chain: ChainParams = ChainParams(),
+    burn_const: float = 2.0,
     transport: str = "chain",
 ) -> CappResult:
     """Estimate Pr over uniform inputs that the circuit accepts, within epsilon.
 
-    P[|p_hat - p| <= epsilon] >= 1 - delta.  Unknown circuit families
-    raise UnsupportedFamilyError rather than returning a silent answer.
+    P[|p_hat - p| <= epsilon] >= 1 - delta, at the walk's burn-in
+    multiplier ``burn_const`` (see ``EstimatorConfig``).  Unknown circuit
+    families raise UnsupportedFamilyError rather than a silent answer.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -80,17 +79,11 @@ def capp(
     # Additive epsilon over 2^n assignments needs xi = epsilon * 2^(n - height)
     # on the machine fraction (height = n + 1 here).
     xi = epsilon * 2.0 ** (n_inputs - tree.height)
-    config = EstimatorConfig(xi, delta, seed, chain, transport)
+    config = EstimatorConfig(xi, delta, seed, burn_const, transport)
     report = estimate_size(tree, config)
     q_hat = min(max(report.size_estimate / 2.0**n_inputs, 0.0), 1.0)
     p_hat = 1.0 - q_hat if route == "complement" else q_hat
-    return CappResult(
-        p_hat=p_hat,
-        epsilon=epsilon,
-        confidence=1.0 - delta,
-        route=route,
-        report=report,
-    )
+    return CappResult(p_hat=p_hat, epsilon=epsilon, route=route, report=report)
 
 
 def gap_csat(
@@ -98,7 +91,7 @@ def gap_csat(
     rho: float,
     delta: float = 0.1,
     seed: int = 0,
-    chain: ChainParams = ChainParams(),
+    burn_const: float = 2.0,
     transport: str = "chain",
 ) -> GapVerdict:
     """Decide the promise problem: zero solutions, or more than rho * 2^n.
@@ -109,5 +102,5 @@ def gap_csat(
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    result = capp(circuit, rho / 2.0, delta, seed, chain, transport)
+    result = capp(circuit, rho / 2.0, delta, seed, burn_const, transport)
     return GapVerdict(satisfiable=result.p_hat > rho / 2.0, rho=rho, p_hat=result.p_hat)

@@ -62,21 +62,6 @@ from .trees import materialize  # noqa: F401
 
 
 @dataclass(frozen=True)
-class ChainParams:
-    """Knob of the walk: the constant C of the burn-in bound (``burn_in_steps``).
-
-    C = 2 is the value the derivation gives; smaller values walk shorter
-    burn-ins with no guarantee.
-    """
-
-    burn_in_constant: float = 2.0
-
-    def __post_init__(self):
-        if self.burn_in_constant <= 0:
-            raise ValueError("burn_in_constant must be positive")
-
-
-@dataclass(frozen=True)
 class AlphaEstimate:
     """Estimated normalizing factor of the stationary law on one tree.
 
@@ -87,7 +72,6 @@ class AlphaEstimate:
 
     value: float
     zeta: float
-    confidence: float
     samples: int
     repetitions: int
     root_hit_fraction: float
@@ -502,7 +486,6 @@ def _alpha_from_hits(
     return AlphaEstimate(
         value=p_hat * 2.0 ** (-height),
         zeta=zeta,
-        confidence=1.0 - delta,
         samples=m,
         repetitions=t,
         root_hit_fraction=p_hat,
@@ -516,7 +499,7 @@ def estimate_alpha(
     height: int,
     zeta: float,
     delta: float,
-    params: ChainParams = ChainParams(),
+    burn_const: float = 2.0,
     rng: np.random.Generator | None = None,
 ) -> AlphaEstimate:
     """Estimate the stationary law's normalizing factor on ``tree`` cut at depth ``height``.
@@ -529,7 +512,8 @@ def estimate_alpha(
         ``tree`` deeper than i are never visited; i may also exceed
         ``tree.height``, which views the whole tree at a larger height.
     zeta, delta : relative error target and failure probability, both in (0,1).
-    params : burn-in constant of the walk.
+    burn_const : the multiplier C > 0 of ``burn_in_steps``; C = 2 carries
+        the guarantee, and smaller values walk shorter burn-ins without it.
     rng : numpy Generator; required unless the tree has a single node.
 
     Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
@@ -551,13 +535,15 @@ def estimate_alpha(
         raise ValueError("zeta must lie in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    if burn_const <= 0:
+        raise ValueError("burn_const must be positive")
     if height == 0:
         # Single reachable node: the root has all the mass, analytically.
-        return AlphaEstimate(1.0, zeta, 1.0, 0, 0, 1.0, 0)
+        return AlphaEstimate(1.0, zeta, 0, 0, 1.0, 0)
     if rng is None:
         raise ValueError("an rng is required for sampling")
 
-    steps = burn_in_steps(height, zeta / (1 + zeta), params.burn_in_constant)
+    steps = burn_in_steps(height, zeta / (1 + zeta), burn_const)
     m, t = sample_size_for(height, zeta), repetitions_for(delta)
     if isinstance(tree, ExplicitTree):
         batched = _batched_root_hits(IndexedTree(tree, height), m, t, steps, rng)

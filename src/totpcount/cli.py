@@ -12,10 +12,10 @@ import inspect
 import json
 import sys
 import time
+import typing
 from pathlib import Path
 
 from .capp import capp, gap_csat
-from .chain import ChainParams
 from .errors import (
     MalformedInstanceError,
     ParseError,
@@ -87,10 +87,19 @@ def _report_fields(report) -> dict:
     }
 
 
-def _check_workers(workers: int) -> None:
-    """Reject worker counts below one; any other count runs the same serial path."""
+def _run_params(
+    delta: float, seed: int, burn_const: float, workers: int, transport: str, **own
+) -> dict:
+    """The record's ``params``, checked before any input is read.
+
+    Any worker count of at least one runs the same serial path.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if burn_const <= 0:
+        raise ValueError("burn_const must be positive")
+    return {**own, "delta": delta, "seed": seed, "burn_const": burn_const,
+            "workers": workers, "transport": transport}
 
 
 def run_estimate(
@@ -103,22 +112,14 @@ def run_estimate(
     workers: int = 1,
     transport: str = "chain",
 ) -> dict:
-    _check_workers(workers)
+    params = _run_params(delta, seed, burn_const, workers, transport, xi=xi)
     tree = _load_tree_source(problem, input)
-    config = EstimatorConfig(xi, delta, seed, ChainParams(burn_in_constant=burn_const), transport)
-    report = estimate_size(tree, config)
+    report = estimate_size(tree, EstimatorConfig(xi, delta, seed, burn_const, transport))
     return {
         "command": "estimate",
         "problem": problem,
         "input": str(input),
-        "params": {
-            "xi": xi,
-            "delta": delta,
-            "seed": seed,
-            "burn_const": burn_const,
-            "workers": workers,
-            "transport": transport,
-        },
+        "params": params,
         **_report_fields(report),
         "wall_time_s": report.wall_time_s,
     }
@@ -155,22 +156,14 @@ def run_ras(
     workers: int = 1,
     transport: str = "chain",
 ) -> dict:
-    _check_workers(workers)
+    params = _run_params(delta, seed, burn_const, workers, transport, k=k, beta=beta)
     tree = _load_tree_source(problem, input)
-    report = ras(tree, k, beta, delta, seed, ChainParams(burn_in_constant=burn_const), transport)
+    report = ras(tree, k, beta, delta, seed, burn_const, transport)
     return {
         "command": "ras",
         "problem": problem,
         "input": str(input),
-        "params": {
-            "k": k,
-            "beta": beta,
-            "delta": delta,
-            "seed": seed,
-            "burn_const": burn_const,
-            "workers": workers,
-            "transport": transport,
-        },
+        "params": params,
         "relative_error_bound": 1.0 / k,
         **_report_fields(report),
         "wall_time_s": report.wall_time_s,
@@ -187,23 +180,14 @@ def run_capp(
     workers: int = 1,
     transport: str = "chain",
 ) -> dict:
-    _check_workers(workers)
+    params = _run_params(delta, seed, burn_const, workers, transport, epsilon=epsilon)
     circuit = _load_circuit_source(problem, input)
-    result = capp(
-        circuit, epsilon, delta, seed, ChainParams(burn_in_constant=burn_const), transport
-    )
+    result = capp(circuit, epsilon, delta, seed, burn_const, transport)
     return {
         "command": "capp",
         "problem": problem,
         "input": str(input),
-        "params": {
-            "epsilon": epsilon,
-            "delta": delta,
-            "seed": seed,
-            "burn_const": burn_const,
-            "workers": workers,
-            "transport": transport,
-        },
+        "params": params,
         "p_hat": result.p_hat,
         "route": result.route,
         "steps": result.report.total_chain_steps,
@@ -223,23 +207,14 @@ def run_gapcsat(
     transport: str = "chain",
 ) -> dict:
     t0 = time.perf_counter()
-    _check_workers(workers)
+    params = _run_params(delta, seed, burn_const, workers, transport, rho=rho)
     circuit = _load_circuit_source(problem, input)
-    verdict = gap_csat(
-        circuit, rho, delta, seed, ChainParams(burn_in_constant=burn_const), transport
-    )
+    verdict = gap_csat(circuit, rho, delta, seed, burn_const, transport)
     return {
         "command": "gapcsat",
         "problem": problem,
         "input": str(input),
-        "params": {
-            "rho": rho,
-            "delta": delta,
-            "seed": seed,
-            "burn_const": burn_const,
-            "workers": workers,
-            "transport": transport,
-        },
+        "params": params,
         "verdict": "satisfiable" if verdict.satisfiable else "unsatisfiable",
         "p_hat": verdict.p_hat,
         "wall_time_s": time.perf_counter() - t0,
@@ -253,6 +228,13 @@ _RUNNERS = {
     "capp": run_capp,
     "gapcsat": run_gapcsat,
 }
+
+
+def _fits(value, hint: type) -> bool:
+    """Whether a manifest value has the runner's type: an int passes for a float, a bool never."""
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def run_bench(suite: str, out: str) -> dict:
@@ -274,12 +256,18 @@ def run_bench(suite: str, out: str) -> dict:
         runner = _RUNNERS.get(command)
         if runner is None:
             raise ParseError(f"{suite}: run {idx}: unknown command {command!r}")
-        if "input" in kwargs and not Path(kwargs["input"]).is_absolute():
-            kwargs["input"] = str(suite_path.parent / kwargs["input"])
         try:
             inspect.signature(runner).bind(**kwargs)
         except TypeError as exc:
             raise ParseError(f"{suite}: run {idx}: bad arguments: {exc}") from exc
+        for name, hint in typing.get_type_hints(runner).items():
+            if name in kwargs and not _fits(kwargs[name], hint):
+                raise ParseError(
+                    f"{suite}: run {idx}: parameter {name!r} must be {hint.__name__}, "
+                    f"got {kwargs[name]!r}"
+                )
+        if "input" in kwargs and not Path(kwargs["input"]).is_absolute():
+            kwargs["input"] = str(suite_path.parent / kwargs["input"])
         records.append(runner(**kwargs))
     with open(out, "w", encoding="utf-8") as fh:
         for record in records:

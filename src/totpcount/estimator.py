@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import chain as chain_mod
-from .chain import AlphaEstimate, ChainParams, guard_height
+from .chain import AlphaEstimate, guard_height
 from .errors import SizeGuardError
 from .machine import SelfReducibleInstance, build_branching_tree
 
@@ -51,12 +51,16 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Accuracy targets and reproducibility knobs for one estimation run."""
+    """Accuracy targets and reproducibility knobs for one estimation run.
+
+    ``burn_const`` is the multiplier C > 0 of the walk's burn-in bound
+    (``chain.burn_in_steps``); C = 2 carries the guarantee.
+    """
 
     xi: float
     delta: float
     seed: int
-    chain: ChainParams = ChainParams()
+    burn_const: float = 2.0
     transport: str = "chain"
 
     def __post_init__(self):
@@ -66,6 +70,8 @@ class EstimatorConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.burn_const <= 0:
+            raise ValueError("burn_const must be positive")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
 
@@ -199,7 +205,7 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
         return _report(0.0, tree.height, config, (), "empty", t0, error_radius=0.0)
     n = tree.height
     guard_height(n)
-    exact0 = AlphaEstimate(1.0, 0.0, 1.0, 0, 0, 1.0, 0)
+    exact0 = AlphaEstimate(1.0, 0.0, 0, 0, 1.0, 0)
     if n == 0:
         return _report(1.0, 0, config, (exact0,), "telescoping", t0)
 
@@ -210,7 +216,7 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
     for i in range(1, n + 1):
         rng = derived_rng(config.seed, i)
         if masses is None:
-            alpha = chain_mod.estimate_alpha(tree, i, zeta, delta_call, config.chain, rng)
+            alpha = chain_mod.estimate_alpha(tree, i, zeta, delta_call, config.burn_const, rng)
         else:
             alpha = chain_mod._alpha_from_hits(
                 i, zeta, delta_call, lambda m, p=masses[i]: int(rng.binomial(m, p)), 0
@@ -256,7 +262,7 @@ def absolute_error_estimate(
     s: float,
     delta: float,
     seed: int,
-    chain: ChainParams = ChainParams(),
+    burn_const: float = 2.0,
     transport: str = "chain",
 ) -> EstimateReport:
     """Estimate within absolute error 2^(height/2) * sqrt(s).
@@ -269,8 +275,7 @@ def absolute_error_estimate(
     guard_height(n)
     if not 1 <= s <= 2.0**n:
         raise ValueError(f"s must lie in [1, 2^{n}]")
-    xi = math.sqrt(s / 2.0**n)
-    config = EstimatorConfig(min(xi, 1.0), delta, seed, chain, transport)
+    config = EstimatorConfig(min(math.sqrt(s / 2.0**n), 1.0), delta, seed, burn_const, transport)
     return estimate_size(tree, config)
 
 
@@ -280,15 +285,16 @@ def ras(
     beta: float,
     delta: float,
     seed: int,
-    chain: ChainParams = ChainParams(),
+    burn_const: float = 2.0,
     transport: str = "chain",
 ) -> EstimateReport:
     """Relative (1 +- 1/k) approximation in sub-exhaustive time.
 
     With s = 2^(beta * height), small counts (up to ceil(k 2^(height/2)
     sqrt(s))) are resolved exactly by the threshold decider; larger counts
-    fall through to the absolute-error estimator, whose radius
-    2^(height/2) sqrt(s) is then below count / k.
+    are estimated at the absolute-error target xi = sqrt(s / 2^height),
+    whose radius 2^(height/2) sqrt(s) is then below count / k.  Both
+    routes share one ``EstimatorConfig``, checked before counting.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -299,13 +305,8 @@ def ras(
     n = tree.height
     guard_height(n)
     s = 2.0 ** (beta * n)
-    tau = math.ceil(k * 2.0 ** (n / 2) * math.sqrt(s))
-    outcome = count_up_to(tree, tau)
+    config = EstimatorConfig(min(math.sqrt(s / 2.0**n), 1.0), delta, seed, burn_const, transport)
+    outcome = count_up_to(tree, math.ceil(k * 2.0 ** (n / 2) * math.sqrt(s)))
     if isinstance(outcome, ExactCount):
-        config = EstimatorConfig(
-            min(1.0, max(math.sqrt(s / 2.0**n), 1e-9)), delta, seed, chain, transport
-        )
-        return _report(
-            float(outcome.value), n, config, (), "exact", t0, error_radius=0.0
-        )
-    return absolute_error_estimate(tree, s, delta, seed, chain, transport)
+        return _report(float(outcome.value), n, config, (), "exact", t0, error_radius=0.0)
+    return estimate_size(tree, config)

@@ -38,6 +38,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n_vertices < 0:
+            raise ValueError("n_vertices must be nonnegative")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -58,14 +60,17 @@ class Graph:
         return {v: frozenset(s) for v, s in adj.items()}
 
 
-def _check_literals(lits: tuple[int, ...], n_vars: int, kind: str) -> None:
-    seen: set[int] = set()
-    for lit in lits:
-        if lit == 0 or abs(lit) > n_vars:
-            raise ValueError(f"literal {lit} outside variables 1..{n_vars}")
-        if -lit in seen:
-            raise ValueError(f"{kind} contains both {abs(lit)} and its negation")
-        seen.add(lit)
+def _check_formula(n_vars: int, groups: tuple[tuple[int, ...], ...], kind: str) -> None:
+    if n_vars < 0:
+        raise ValueError("n_vars must be nonnegative")
+    for lits in groups:
+        seen: set[int] = set()
+        for lit in lits:
+            if lit == 0 or abs(lit) > n_vars:
+                raise ValueError(f"literal {lit} outside variables 1..{n_vars}")
+            if -lit in seen:
+                raise ValueError(f"{kind} contains both {abs(lit)} and its negation")
+            seen.add(lit)
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,7 @@ class DnfFormula:
     terms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for term in self.terms:
-            _check_literals(term, self.n_vars, "term")
+        _check_formula(self.n_vars, self.terms, "term")
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,7 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for clause in self.clauses:
-            _check_literals(clause, self.n_vars, "clause")
+        _check_formula(self.n_vars, self.clauses, "clause")
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,8 @@ class MonotoneCircuit:
     output: int
 
     def __post_init__(self):
+        if self.n_inputs < 0:
+            raise ValueError("n_inputs must be nonnegative")
         for j, (op, a, b) in enumerate(self.gates):
             if op not in ("AND", "OR"):
                 raise ValueError(f"gate {j}: unknown operation {op!r}")
@@ -284,40 +289,63 @@ def _header(line: str, kind: str, path, lineno: int) -> tuple[int, int]:
     if len(parts) != 4 or parts[0] != "p" or parts[1] != kind:
         raise ParseError(f"{path}:{lineno}: expected header 'p {kind} N M'")
     try:
-        return int(parts[2]), int(parts[3])
+        n, m = int(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: non-integer header fields") from exc
+    if n < 0 or m < 0:
+        raise ParseError(f"{path}:{lineno}: negative header fields")
+    return n, m
 
 
-def load_graph(path) -> Graph:
-    """DIMACS-like graph file: 'p graph N M' then M lines 'e u v'."""
-    n = None
-    edges: list[tuple[int, int]] = []
-    declared = 0
+def _read_dimacs(path, kind: str, item: str) -> tuple[int, int, list[tuple[int, str]]]:
+    """The one 'p kind N M' header of a DIMACS-style file, and its numbered body lines.
+
+    Blank lines and 'c' comments are skipped; a body line before the
+    header, or a second header, is a ParseError.
+    """
+    header = None
+    body: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
-                n, declared = _header(line, "graph", path, lineno)
-                continue
-            parts = line.split()
-            if n is None or parts[0] != "e" or len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'e u v' after the header")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer endpoints") from exc
-            edges.append((u, v))
-    if n is None:
-        raise ParseError(f"{path}: missing 'p graph N M' header")
-    if len(edges) != declared:
-        raise ParseError(f"{path}: header declares {declared} edges, found {len(edges)}")
+                if header is not None:
+                    raise ParseError(f"{path}:{lineno}: second header line")
+                header = _header(line, kind, path, lineno)
+            elif header is None:
+                raise ParseError(f"{path}:{lineno}: {item} before the header")
+            else:
+                body.append((lineno, line))
+    if header is None:
+        raise ParseError(f"{path}: missing 'p {kind} N M' header")
+    return (*header, body)
+
+
+def _built(path, make, n: int, items: list, declared: int, item: str):
+    """``make(n, items)`` once the body holds the declared number of items."""
+    if len(items) != declared:
+        raise ParseError(f"{path}: header declares {declared} {item}s, found {len(items)}")
     try:
-        return Graph.from_edges(n, edges)
+        return make(n, tuple(items))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def load_graph(path) -> Graph:
+    """DIMACS-like graph file: 'p graph N M' then M lines 'e u v'."""
+    n, declared, body = _read_dimacs(path, "graph", "edge")
+    edges: list[tuple[int, int]] = []
+    for lineno, line in body:
+        parts = line.split()
+        if parts[0] != "e" or len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 'e u v'")
+        try:
+            edges.append((int(parts[1]), int(parts[2])))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer endpoints") from exc
+    return _built(path, Graph.from_edges, n, edges, declared, "edge")
 
 
 def save_graph(g: Graph, path) -> None:
@@ -329,34 +357,17 @@ def save_graph(g: Graph, path) -> None:
 
 def load_dnf(path) -> DnfFormula:
     """DNF file: 'p dnf N M' then M lines of literals, one term per line, 0-terminated."""
-    n = None
+    n, declared, body = _read_dimacs(path, "dnf", "term")
     terms: list[tuple[int, ...]] = []
-    declared = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                n, declared = _header(line, "dnf", path, lineno)
-                continue
-            if n is None:
-                raise ParseError(f"{path}:{lineno}: term before the header")
-            try:
-                ints = [int(tok) for tok in line.split()]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer literal") from exc
-            if not ints or ints[-1] != 0 or 0 in ints[:-1]:
-                raise ParseError(f"{path}:{lineno}: term must be 0-terminated literals")
-            terms.append(tuple(ints[:-1]))
-    if n is None:
-        raise ParseError(f"{path}: missing 'p dnf N M' header")
-    if len(terms) != declared:
-        raise ParseError(f"{path}: header declares {declared} terms, found {len(terms)}")
-    try:
-        return DnfFormula(n, tuple(terms))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    for lineno, line in body:
+        try:
+            ints = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer literal") from exc
+        if not ints or ints[-1] != 0 or 0 in ints[:-1]:
+            raise ParseError(f"{path}:{lineno}: term must be 0-terminated literals")
+        terms.append(tuple(ints[:-1]))
+    return _built(path, DnfFormula, n, terms, declared, "term")
 
 
 def save_dnf(phi: DnfFormula, path) -> None:
@@ -368,25 +379,13 @@ def save_dnf(phi: DnfFormula, path) -> None:
 
 def load_cnf(path) -> CnfFormula:
     """Standard DIMACS CNF: clauses are 0-terminated literal runs."""
-    n = None
-    declared = 0
+    n, declared, body = _read_dimacs(path, "cnf", "clause")
     tokens: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                n, declared = _header(line, "cnf", path, lineno)
-                continue
-            if n is None:
-                raise ParseError(f"{path}:{lineno}: clause before the header")
-            try:
-                tokens.extend(int(tok) for tok in line.split())
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer literal") from exc
-    if n is None:
-        raise ParseError(f"{path}: missing 'p cnf N M' header")
+    for lineno, line in body:
+        try:
+            tokens.extend(int(tok) for tok in line.split())
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer literal") from exc
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for tok in tokens:
@@ -397,12 +396,7 @@ def load_cnf(path) -> CnfFormula:
             current.append(tok)
     if current:
         raise ParseError(f"{path}: trailing clause without terminating 0")
-    if len(clauses) != declared:
-        raise ParseError(f"{path}: header declares {declared} clauses, found {len(clauses)}")
-    try:
-        return CnfFormula(n, tuple(clauses))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _built(path, CnfFormula, n, clauses, declared, "clause")
 
 
 def save_cnf(phi: CnfFormula, path) -> None:

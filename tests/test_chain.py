@@ -9,7 +9,6 @@ import pytest
 
 from totpcount import (
     AlphaEstimate,
-    ChainParams,
     DnfFormula,
     EstimatorConfig,
     ExplicitTree,
@@ -496,8 +495,8 @@ def test_estimate_alpha_walks_whole_repetitions_per_batch(tree, cap, monkeypatch
     monkeypatch.setattr(chain, "_BATCH_WALKERS", cap)
     widths, draws = _spy_on_estimate_alpha(monkeypatch)
     h, zeta, delta = tree.height, 0.1, 0.1
-    params = ChainParams(burn_in_constant=0.1)
-    est = estimate_alpha(tree, h, zeta, delta, params, rng=rng)
+    burn_const = 0.1
+    est = estimate_alpha(tree, h, zeta, delta, burn_const, rng=rng)
     m, t = sample_size_for(h, zeta), repetitions_for(delta)
     steps = burn_in_steps(h, zeta / (1 + zeta), 0.1)
     assert [d for d, _ in draws] == [m] * t
@@ -527,7 +526,7 @@ def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
     # leftover steps included, not just the limit.
     _, draws = _spy_on_estimate_alpha(monkeypatch)
     est = estimate_alpha(
-        tree, tree.height, 0.1, 0.1, ChainParams(burn_in_constant=0.005),
+        tree, tree.height, 0.1, 0.1, 0.005,
         rng=np.random.default_rng(4242),
     )
     walks = est.samples * est.repetitions
@@ -544,12 +543,12 @@ def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
 
 def test_estimate_alpha_walks_the_truncation_of_a_whole_explicit_tree():
     tree = random_tree(np.random.default_rng(81), 5, child_prob=0.7)
-    params = ChainParams(burn_in_constant=0.05)
+    burn_const = 0.05
     for i in range(tree.height):
         cut = sorted((p for p in tree.nodes if len(p) <= i), key=lambda p: (len(p), p))
         assert IndexedTree(tree, i).nodes == cut
-        whole = estimate_alpha(tree, i, 0.3, 0.3, params, rng=np.random.default_rng(i))
-        alone = estimate_alpha(truncate(tree, i), i, 0.3, 0.3, params, rng=np.random.default_rng(i))
+        whole = estimate_alpha(tree, i, 0.3, 0.3, burn_const, rng=np.random.default_rng(i))
+        alone = estimate_alpha(truncate(tree, i), i, 0.3, 0.3, burn_const, rng=np.random.default_rng(i))
         assert whole == alone
 
 
@@ -574,7 +573,7 @@ def test_scalar_walk_stays_within_the_truncation_depth(tree, monkeypatch):
     monkeypatch.setattr(InstanceTree, "children", recorded)
     for i in range(1, tree.height):
         asked.clear()
-        estimate_alpha(tree, i, 0.5, 0.5, ChainParams(0.05), rng=np.random.default_rng(i))
+        estimate_alpha(tree, i, 0.5, 0.5, 0.05, rng=np.random.default_rng(i))
         # Nodes at depth i hold without asking; the walk reaches depth
         # i where the tree has nodes there, so it asks about their parents.
         assert max(map(len, asked)) < i
@@ -584,8 +583,8 @@ def test_scalar_walk_stays_within_the_truncation_depth(tree, monkeypatch):
 def test_grown_walk_asks_at_most_once_per_step_and_stops_at_its_row_cap(monkeypatch):
     # 2^30 independent sets: far more nodes than any walk can visit.
     tree = build_branching_tree(is_instance(Graph.from_edges(30, [])))
-    i, zeta, delta, params = 30, 0.9, 0.9, ChainParams(0.001)
-    steps = burn_in_steps(i, zeta / (1 + zeta), params.burn_in_constant)
+    i, zeta, delta, burn_const = 30, 0.9, 0.9, 0.001
+    steps = burn_in_steps(i, zeta / (1 + zeta), burn_const)
     planned = sample_size_for(i, zeta) * repetitions_for(delta) * steps
     asked = Counter()
     children = InstanceTree.children
@@ -595,14 +594,14 @@ def test_grown_walk_asks_at_most_once_per_step_and_stops_at_its_row_cap(monkeypa
         return children(self, node)
 
     monkeypatch.setattr(InstanceTree, "children", counted)
-    est = estimate_alpha(tree, i, zeta, delta, params, rng=np.random.default_rng(5))
+    est = estimate_alpha(tree, i, zeta, delta, burn_const, rng=np.random.default_rng(5))
     assert est.chain_steps == planned
     assert 0 < sum(asked.values()) <= planned
     assert max(asked.values()) == 1
     monkeypatch.setattr(chain, "_MAX_ROWS", 8)
     message = f"cap of 8 rows of S_30 \\({planned} planned steps\\)"
     with pytest.raises(SizeGuardError, match=message):
-        estimate_alpha(tree, i, zeta, delta, params, rng=np.random.default_rng(5))
+        estimate_alpha(tree, i, zeta, delta, burn_const, rng=np.random.default_rng(5))
 
 
 ORACLE_TREES = {
@@ -627,7 +626,7 @@ def test_scalar_walk_asks_each_node_once(tree, monkeypatch):
     monkeypatch.setattr(InstanceTree, "children", counted)
     for i in range(1, tree.height + 1):
         asked.clear()
-        estimate_alpha(tree, i, 0.5, 0.5, ChainParams(0.05), rng=np.random.default_rng(i))
+        estimate_alpha(tree, i, 0.5, 0.5, 0.05, rng=np.random.default_rng(i))
         assert asked and max(asked.values()) == 1
         assert set(asked) <= set(tree.iter_nodes(i))
 
@@ -650,11 +649,11 @@ def _random_instance_trees(seed: int, per_kind: int) -> list[InstanceTree]:
     return trees
 
 
-def _lazy_step_estimate(tree, i, zeta, delta, params, rng) -> AlphaEstimate:
+def _lazy_step_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate:
     """The estimate of walking ``lazy_step`` itself, one sample per ``rng.random(T)``."""
     children = functools.cache(tree.children)
     m, t = sample_size_for(i, zeta), repetitions_for(delta)
-    steps = burn_in_steps(i, zeta / (1 + zeta), params.burn_in_constant)
+    steps = burn_in_steps(i, zeta / (1 + zeta), burn_const)
     fractions = []
     for _ in range(t):
         hits = 0
@@ -669,7 +668,7 @@ def _lazy_step_estimate(tree, i, zeta, delta, params, rng) -> AlphaEstimate:
     if degenerate:
         p_hat = 1.0 / (2.0 * m)
     return AlphaEstimate(
-        p_hat * 2.0**-i, zeta, 1.0 - delta, m, t, p_hat, m * t * steps, degenerate
+        p_hat * 2.0**-i, zeta, m, t, p_hat, m * t * steps, degenerate
     )
 
 
@@ -679,10 +678,10 @@ def _lazy_step_estimate(tree, i, zeta, delta, params, rng) -> AlphaEstimate:
     ids=[*ORACLE_TREES.keys(), *(f"random{k}" for k in range(9))],
 )
 def test_grown_walk_gives_the_lazy_step_estimate(tree):
-    params = ChainParams(0.05)
+    burn_const = 0.05
     for i in range(1, tree.height + 1):
-        walked = estimate_alpha(tree, i, 0.5, 0.5, params, rng=np.random.default_rng(i))
-        reference = _lazy_step_estimate(tree, i, 0.5, 0.5, params, np.random.default_rng(i))
+        walked = estimate_alpha(tree, i, 0.5, 0.5, burn_const, rng=np.random.default_rng(i))
+        reference = _lazy_step_estimate(tree, i, 0.5, 0.5, burn_const, np.random.default_rng(i))
         assert walked == reference
 
 
@@ -721,6 +720,11 @@ def test_estimate_alpha_validates_parameters(rng):
         estimate_alpha(ExplicitTree([], height=2), 2, 0.1, 0.1, rng=rng)
 
 
-def test_chain_params_validation():
-    with pytest.raises(ValueError):
-        ChainParams(burn_in_constant=-1.0)
+def test_chain_params_validation(rng):
+    # The burn-in constant is checked before the height-0 shortcut, which
+    # walks no steps, and before any estimation run starts.
+    for height in (1, 0):
+        with pytest.raises(ValueError, match="burn_const"):
+            estimate_alpha(full_binary_tree(1), height, 0.1, 0.1, burn_const=-1.0, rng=rng)
+    with pytest.raises(ValueError, match="burn_const"):
+        EstimatorConfig(0.5, 0.1, 1, burn_const=0)

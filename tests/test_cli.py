@@ -112,6 +112,48 @@ def test_workers_below_one_exits_two(capsys, tree_file, dnf_file, argv):
     assert "workers must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("burn_const", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--problem", "tree", "--xi", "0.5"],
+        # Cutoff ceil(4 * 2 * sqrt(2)) = 12 >= 7 nodes: ras answers exactly,
+        # so only the early check can reject the constant.
+        ["ras", "--problem", "tree", "--k", "4", "--beta", "0.5"],
+        ["capp", "--problem", "dnf", "--epsilon", "0.2"],
+        ["gapcsat", "--problem", "dnf", "--rho", "0.4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_burn_const_not_positive_exits_two(capsys, tree_file, dnf_file, argv, burn_const):
+    source = tree_file if "tree" in argv else dnf_file
+    code = main(argv + ["--input", str(source), "--delta", "0.2", "--seed", "1",
+                        "--transport", "exact", "--burn-const", burn_const])
+    assert code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("neg.graph", "p graph -3 0\n", ["estimate", "--problem", "is", "--xi", "0.5"]),
+        ("neg.cnf", "p cnf -2 0\n", ["capp", "--problem", "cnf", "--epsilon", "0.2"]),
+        ("twice.dnf", "p dnf 1 1\np dnf 3 1\n3 0\n", ["exact", "--problem", "dnf"]),
+    ],
+    ids=["negative-graph-header", "negative-cnf-header", "second-dnf-header"],
+)
+def test_bad_header_exits_two(capsys, tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if argv[0] == "exact":
+        argv = argv + ["--threshold", "10"]
+    else:
+        argv = argv + ["--delta", "0.2", "--seed", "1", "--transport", "exact"]
+    code = main(argv + ["--input", str(path)])
+    assert code == 2
+    assert f"{path}:" in capsys.readouterr().err
+
+
 def test_estimate_height_guard_exits_three(capsys, tmp_path):
     rng = np.random.default_rng(0)
     tall = random_tree(rng, 501, child_prob=0.0)
@@ -347,3 +389,38 @@ def test_bench_runner_type_error_propagates(tmp_path, monkeypatch):
     suite = _exact_suite(tmp_path)
     with pytest.raises(TypeError, match="raised inside the runner"):
         main(["bench", "--suite", str(suite), "--out", str(tmp_path / "o.jsonl")])
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("estimate", "xi", "0.5"),
+        ("estimate", "burn_const", "2"),
+        ("estimate", "seed", 1.5),
+        ("estimate", "workers", True),
+        ("estimate", "problem", None),
+        ("exact", "threshold", "5"),
+    ],
+)
+def test_bench_wrong_typed_value_is_a_parse_error(capsys, tmp_path, tree_file, command, key, value):
+    run = {"command": command, "problem": "tree", "input": str(tree_file), key: value}
+    if command == "estimate":
+        run = {"xi": 0.5, "delta": 0.2, "seed": 1, "transport": "exact", **run}
+    else:
+        run = {"threshold": 5, **run}
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"runs": [run]}), encoding="utf-8")
+    code = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert f"run 0: parameter {key!r}" in capsys.readouterr().err
+
+
+def test_bench_accepts_an_int_for_a_float(capsys, tmp_path, tree_file):
+    run = {"command": "estimate", "problem": "tree", "input": str(tree_file),
+           "xi": 1, "delta": 0.2, "seed": 1, "burn_const": 2, "transport": "exact"}
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"runs": [run]}), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    code, record = run_cli(capsys, ["bench", "--suite", str(suite), "--out", str(out)])
+    assert code == 0 and record["runs"] == 1
+    assert json.loads(out.read_text())["params"]["burn_const"] == 2

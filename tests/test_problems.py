@@ -270,6 +270,21 @@ def test_circuit_rejects_forward_reference():
         MonotoneCircuit(1, (("AND", 0, 2),), 1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Graph.from_edges(-1, []),
+        lambda: DnfFormula(-1, ()),
+        lambda: CnfFormula(-2, ()),
+        lambda: MonotoneCircuit(-1, (), -1),
+    ],
+    ids=["graph", "dnf", "cnf", "circuit"],
+)
+def test_negative_size_rejected(make):
+    with pytest.raises(ValueError, match="nonnegative"):
+        make()
+
+
 # --- file formats
 
 
@@ -332,4 +347,23 @@ def test_parse_errors(tmp_path, name, text, loader):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError):
+        loader(path)
+
+
+@pytest.mark.parametrize(
+    "text, loader, message",
+    [
+        ("p graph -3 0\n", load_graph, "negative header fields"),
+        ("p graph 3 -1\n", load_graph, "negative header fields"),
+        ("p dnf -1 0\n", load_dnf, "negative header fields"),
+        ("p cnf -2 0\n", load_cnf, "negative header fields"),
+        ("p graph 2 0\np graph 3 0\n", load_graph, "second header line"),
+        ("p dnf 1 1\np dnf 3 1\n3 0\n", load_dnf, "second header line"),
+        ("p cnf 1 0\np cnf 1 0\n", load_cnf, "second header line"),
+    ],
+)
+def test_header_errors(tmp_path, text, loader, message):
+    path = tmp_path / "bad"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=message):
         loader(path)
