@@ -25,18 +25,21 @@ On an explicit tree ``estimate_alpha`` walks all t repetitions of m
 samples of a depth together, in the fewest ``walk_batch`` calls of at
 most 2^15 walkers that hold whole repetitions, and splits each call's
 finals back into per-repetition root-hit counts.  On an oracle-backed
-tree it walks one sample at a time, on one array of T uniforms per
-sample, over a table of the rows of S_i that grows as the walk finds
-nodes (``_GrownRows``): a row's child columns are filled by one
-``children`` query (a machine replay) the first time a walker there
-draws a child move, so each node is asked at most once and no node the
-walk never reaches is asked at all.  Its moves are exactly those of
-``lazy_step``, the interval form of the lazy kernel, which stays as the
-reference rule.  Either way the walk at depth i runs on the truncation
-S_i of the tree it is given, with no tree object for S_i:
-``IndexedTree(tree, i)`` indexes only the nodes of depth <= i, and the
-grown table gives rows at depth i hold columns without asking the tree,
-so the child moves of depth-i nodes find no child and hold.
+tree it walks one sample at a time, over a table of the rows of S_i that
+grows as the walk finds nodes (``_GrownRows``).  Its uniforms come in
+blocks of at most 2^12 (``_grown_root_hits``), each holding as many whole
+samples as fit, so memory stays bounded whatever T is; a sample longer
+than a block carries its row from one block to the next.  A row's child
+columns are filled by one ``children`` query (a machine replay) the
+first time a walker there draws a child move, so each node is asked at
+most once and no node the walk never reaches is asked at all.  Its
+moves are exactly those of ``lazy_step``, the interval form of the lazy
+kernel, which stays as the reference rule.  Either way the walk at
+depth i runs on the truncation S_i of the tree it is given, with no
+tree object for S_i: ``IndexedTree(tree, i)`` indexes only the nodes of
+depth <= i, and the grown table gives rows at depth i hold columns
+without asking the tree, so the child moves of depth-i nodes find no
+child and hold.
 
 Sample-size rule: estimating pi(root) within a factor (1 +- zeta) with
 failure probability <= 1/4 needs m = ceil(4(n+1)/zeta^2) independent
@@ -94,12 +97,22 @@ def burn_in_steps(height: int, root_deviation: float, constant: float = 2.0) -> 
         raise ValueError("height must be nonnegative")
     if not 0 < root_deviation < 1:
         raise ValueError("root_deviation must lie in (0, 1)")
-    if constant <= 0:
-        raise ValueError("constant must be positive")
+    if not 0 < constant < math.inf:
+        raise ValueError(f"constant must be positive and finite, got {constant}")
     if height == 0:
         return 0
     n1 = height + 1
-    return math.ceil(constant * 16 * n1 * n1 * (math.log(n1) + math.log(1.0 / root_deviation)))
+    return _count(
+        "burn-in steps T",
+        constant * 16 * n1 * n1 * (math.log(n1) + math.log(1.0 / root_deviation)),
+    )
+
+
+def _count(name: str, value: float) -> int:
+    """``ceil(value)``, or SizeGuardError naming ``name`` when that is no finite int64."""
+    if not value < 2.0**63:
+        raise SizeGuardError(f"{name} would be {value:.4g}, not a finite count below 2^63")
+    return math.ceil(value)
 
 
 # The reference rule for one scalar move.  The walk over oracle-backed
@@ -362,6 +375,10 @@ def _cut_codes(words: np.ndarray, bits: int) -> np.ndarray:
 # bytes a row (85 MB at the cap); past it the call raises SizeGuardError
 # rather than evict.
 _MAX_ROWS = 1 << 20
+# Uniforms per rng.random call of the scalar walk.  The walk reads a block
+# as Python floats, about 40 bytes a double (160 KB here); 2^15 ran no
+# faster and held eight times that.
+_BLOCK_UNIFORMS = 1 << 12
 
 
 class _GrownRows:
@@ -385,16 +402,18 @@ class _GrownRows:
         self.tree, self.depth, self.planned_steps = tree, depth, planned_steps
         self.table = [0, 0, -1, -1]
 
-    def walk(self, uniforms: list[float]) -> int:
-        """Offset of the row reached from the root by one lazy step per uniform.
+    def walk(self, uniforms: list[float], at: int = 0) -> int:
+        """Offset of the row reached from offset ``at`` by one lazy step per uniform.
 
+        ``at`` is the root by default; a sample walked over several
+        blocks of uniforms starts each block where the last one ended.
         Draw u moves by column ``int(8 u)`` when u < 1/2 and holds
         otherwise, which is ``lazy_step``'s partition bit for bit: the
         parent below 1/4 (columns 0 and 1 agree), the left child on
         [1/4, 3/8) and the right child on [3/8, 1/2).  The column is
         found by those comparisons, which cost less than ``int(8 * u)``.
         """
-        table, at = self.table, 0
+        table = self.table
         for u in uniforms:
             if u < 0.5:
                 if u < 0.25:
@@ -436,14 +455,43 @@ class _GrownRows:
             table += (at, at, hold, hold)
 
 
+def _grown_root_hits(rows: _GrownRows, m: int, steps: int, rng: np.random.Generator) -> int:
+    """Root hits of ``m`` walks of ``steps`` lazy steps from the root of ``rows``.
+
+    All m * ``steps`` uniforms are drawn in order, in blocks of at most
+    ``_BLOCK_UNIFORMS``.  A block holds as many whole samples as fit, and
+    each sample walks its own slice.  A sample longer than a block walks
+    over several blocks and carries its row from one to the next.  A
+    generator's uniforms do not depend on how they are split into calls,
+    so the walks are those of one ``rng.random(steps)`` per sample.
+    Memory is one block, whatever ``steps`` is.
+    """
+    hits = 0
+    per_block = _BLOCK_UNIFORMS // steps
+    if per_block:
+        walk = rows.walk
+        for first in range(0, m, per_block):
+            block = rng.random(min(per_block, m - first) * steps).tolist()
+            for start in range(0, len(block), steps):
+                hits += walk(block[start : start + steps]) == 0
+        return hits
+    for _ in range(m):
+        at = 0
+        for done in range(0, steps, _BLOCK_UNIFORMS):
+            at = rows.walk(rng.random(min(_BLOCK_UNIFORMS, steps - done)).tolist(), at)
+        hits += at == 0
+    return hits
+
+
 def sample_size_for(height: int, zeta: float) -> int:
     """Draws per repetition for a (1 +- zeta) root-mass estimate at 3/4 confidence."""
-    return math.ceil(4 * (height + 1) / (zeta * zeta))
+    square = zeta * zeta
+    return _count("samples m", 4 * (height + 1) / square if square else math.inf)
 
 
 def repetitions_for(delta: float) -> int:
     """Median repetitions boosting 3/4 confidence to 1 - delta."""
-    return max(1, math.ceil(8 * math.log(1.0 / delta)))
+    return max(1, _count("repetitions t", 8 * math.log(1.0 / delta)))
 
 
 def _batched_root_hits(
@@ -518,13 +566,15 @@ def estimate_alpha(
 
     Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
     steps from the root: vectorized on explicit trees, one scalar move at
-    a time on oracle-backed ones.  There a sample draws its T uniforms
-    with one ``rng.random(T)``, the same stream as T scalar draws, and
-    moves exactly as ``lazy_step`` would on each, over a table of the
-    rows of S_i that lives for the call and grows as the walk finds
-    nodes, asking ``tree.children`` once per node it expands.  A call
-    whose table would pass ``_MAX_ROWS`` rows (2^20) raises
-    SizeGuardError.
+    a time on oracle-backed ones.  There the uniforms are drawn in
+    blocks of at most ``_BLOCK_UNIFORMS`` (2^12), in the order of T
+    scalar draws per sample, and each sample moves exactly as
+    ``lazy_step`` would on its T draws, over a table of the rows of S_i
+    that lives for the call and grows as the walk finds nodes, asking
+    ``tree.children`` once per node it expands.  A call whose table
+    would pass ``_MAX_ROWS`` rows (2^20) raises SizeGuardError, and one
+    whose T, m or t is no finite count below 2^63 raises it before it
+    walks.
     The estimate satisfies
     P[(1-zeta) alpha <= value <= (1+zeta) alpha] >= 1 - delta, up to
     that root deviation, which is absorbed into zeta.
@@ -535,8 +585,8 @@ def estimate_alpha(
         raise ValueError("zeta must lie in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if burn_const <= 0:
-        raise ValueError("burn_const must be positive")
+    if not 0 < burn_const < math.inf:
+        raise ValueError(f"burn_const must be positive and finite, got {burn_const}")
     if height == 0:
         # Single reachable node: the root has all the mass, analytically.
         return AlphaEstimate(1.0, zeta, 0, 0, 1.0, 0)
@@ -555,7 +605,7 @@ def estimate_alpha(
         rows = _GrownRows(tree, height, m * t * steps)
 
         def draw_hits(m: int) -> int:
-            return sum(rows.walk(rng.random(steps).tolist()) == 0 for _ in range(m))
+            return _grown_root_hits(rows, m, steps, rng)
 
     return _alpha_from_hits(height, zeta, delta, draw_hits, steps_per_sample=steps)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 import typing
@@ -96,8 +97,8 @@ def _run_params(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if burn_const <= 0:
-        raise ValueError("burn_const must be positive")
+    if not 0 < burn_const < math.inf:
+        raise ValueError(f"burn_const must be positive and finite, got {burn_const}")
     return {**own, "delta": delta, "seed": seed, "burn_const": burn_const,
             "workers": workers, "transport": transport}
 

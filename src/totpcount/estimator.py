@@ -70,8 +70,8 @@ class EstimatorConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.burn_const <= 0:
-            raise ValueError("burn_const must be positive")
+        if not 0 < self.burn_const < math.inf:
+            raise ValueError(f"burn_const must be positive and finite, got {self.burn_const}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
 
@@ -296,8 +296,8 @@ def ras(
     whose radius 2^(height/2) sqrt(s) is then below count / k.  Both
     routes share one ``EstimatorConfig``, checked before counting.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k < math.inf:
+        raise ValueError(f"k must be >= 1 and finite, got {k}")
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
     t0 = time.perf_counter()
@@ -306,7 +306,10 @@ def ras(
     guard_height(n)
     s = 2.0 ** (beta * n)
     config = EstimatorConfig(min(math.sqrt(s / 2.0**n), 1.0), delta, seed, burn_const, transport)
-    outcome = count_up_to(tree, math.ceil(k * 2.0 ** (n / 2) * math.sqrt(s)))
+    # A tree of height n has fewer than 2^(n+1) nodes, so a larger cutoff
+    # answers the same and keeps a huge k from overflowing the ceiling.
+    cutoff = min(k * 2.0 ** (n / 2) * math.sqrt(s), 2.0 ** (n + 1))
+    outcome = count_up_to(tree, math.ceil(cutoff))
     if isinstance(outcome, ExactCount):
         return _report(float(outcome.value), n, config, (), "exact", t0, error_radius=0.0)
     return estimate_size(tree, config)

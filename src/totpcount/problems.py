@@ -212,7 +212,8 @@ def monotone_instance(circuit: MonotoneCircuit) -> SelfReducibleInstance:
     """Machine counting satisfying assignments of a monotone circuit.
 
     A state is (k, values): the first k inputs are assigned, and bit v of
-    values is node v's value when every unassigned input is 1.
+    values, for v in the output's cone (below), is node v's value when
+    every unassigned input is 1.
     Monotonicity makes the decision exact: the prefix leads to a solution
     iff the output's bit is set.  AND and OR of 1s are 1, so with nothing
     assigned every node is 1.
@@ -226,11 +227,28 @@ def monotone_instance(circuit: MonotoneCircuit) -> SelfReducibleInstance:
     reader still at 1 goes to 0 when its other operand is 0, which covers
     AND gates, OR gates and gates that read one node twice, and each node
     that goes to 0 has its own readers rechecked.
+
+    Only the bits of the output's cone, the output and the nodes it reads
+    directly or through other gates, are kept current.  A gate outside
+    the cone has no fanout entries, so its bit stays 1 whatever the
+    inputs.  No gate in the cone reads a gate outside it, so the output's
+    bit, the only bit that steps and decisions read, is exact.
     """
     n = circuit.n_inputs
     n_nodes = n + len(circuit.gates)
+    # Gates come in topological order, so one pass from the output back
+    # marks every node the output reads.
+    cone = [False] * n_nodes
+    if circuit.output != -1:
+        cone[circuit.output] = True
+    for g in range(n_nodes - 1, n - 1, -1):
+        if cone[g]:
+            _, a, b = circuit.gates[g - n]
+            cone[a] = cone[b] = True
     fanout: list[list[tuple[int, int, int]]] = [[] for _ in range(n_nodes)]
     for g, (op, a, b) in enumerate(circuit.gates, start=n):
+        if not cone[g]:
+            continue
         fanout[a].append((1 << g, g, 0 if op == "AND" else 1 << b))
         if b != a:
             fanout[b].append((1 << g, g, 0 if op == "AND" else 1 << a))

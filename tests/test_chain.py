@@ -685,6 +685,47 @@ def test_grown_walk_gives_the_lazy_step_estimate(tree):
         assert walked == reference
 
 
+class _SpyRng:
+    """A generator that records the size of every ``random(n)`` it is asked for."""
+
+    def __init__(self, seed: int):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size: int) -> np.ndarray:
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [*ORACLE_TREES.values(), *_random_instance_trees(91, 3)],
+    ids=[*ORACLE_TREES.keys(), *(f"random{k}" for k in range(9))],
+)
+def test_uniform_blocks_of_any_size_give_the_same_walk(tree, monkeypatch):
+    zeta, delta, burn_const = 0.5, 0.5, 0.05
+    hits, default_cap = [], chain._BLOCK_UNIFORMS
+    grown = chain._grown_root_hits
+
+    def recorded(*args):
+        hits.append(grown(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(chain, "_grown_root_hits", recorded)
+    for i in range(1, tree.height + 1):
+        steps = burn_in_steps(i, zeta / (1 + zeta), burn_const)
+        planned = sample_size_for(i, zeta) * repetitions_for(delta) * steps
+        assert steps > 2
+        runs = []
+        # Caps below T walk each sample over several draws, carrying its row.
+        for cap in [default_cap, 1, 2, steps - 1, steps, steps + 1]:
+            monkeypatch.setattr(chain, "_BLOCK_UNIFORMS", cap)
+            spy, hits[:] = _SpyRng(i), []
+            runs.append((estimate_alpha(tree, i, zeta, delta, burn_const, rng=spy), list(hits)))
+            assert max(spy.sizes) <= cap
+            assert sum(spy.sizes) == planned
+        assert all(run == runs[0] for run in runs), (i, steps)
+
+
 @pytest.mark.parametrize("tree", ORACLE_TREES.values(), ids=ORACLE_TREES.keys())
 def test_grown_rows_move_as_lazy_step_at_the_interval_ends(tree):
     # lazy_step's intervals end at 1/4, 3/8 and 1/2; check each end and
@@ -718,6 +759,30 @@ def test_estimate_alpha_validates_parameters(rng):
         estimate_alpha(fb, 1, 0.1, 1.0, rng=rng)
     with pytest.raises(ValueError):
         estimate_alpha(ExplicitTree([], height=2), 2, 0.1, 0.1, rng=rng)
+
+
+@pytest.mark.parametrize("burn_const", [math.inf, math.nan])
+def test_burn_const_must_be_finite(rng, burn_const):
+    for height in (1, 0):
+        with pytest.raises(ValueError, match="burn_const must be positive and finite"):
+            estimate_alpha(full_binary_tree(1), height, 0.1, 0.1, burn_const=burn_const, rng=rng)
+    with pytest.raises(ValueError, match="burn_const must be positive and finite"):
+        EstimatorConfig(0.5, 0.1, 1, burn_const=burn_const)
+    with pytest.raises(ValueError, match="constant must be positive and finite"):
+        burn_in_steps(3, 0.1, burn_const)
+
+
+def test_counts_past_int64_are_refused_by_name():
+    # A finite constant can still overflow T; a tiny zeta or delta, m or t.
+    with pytest.raises(SizeGuardError, match="burn-in steps T would be inf"):
+        burn_in_steps(3, 0.1, 1e308)
+    with pytest.raises(SizeGuardError, match="samples m would be inf"):
+        sample_size_for(3, 1e-200)
+    with pytest.raises(SizeGuardError, match="samples m would be 1.6e\\+21"):
+        sample_size_for(3, 1e-10)
+    with pytest.raises(SizeGuardError, match="repetitions t would be inf"):
+        repetitions_for(1e-320)
+    assert sample_size_for(3, 2.0**-29) == 2**62
 
 
 def test_chain_params_validation(rng):

@@ -133,6 +133,39 @@ def test_burn_const_not_positive_exits_two(capsys, tree_file, dnf_file, argv, bu
     assert "must be positive" in capsys.readouterr().err
 
 
+_EXTREME_BASE = {
+    "estimate": ["--xi", "0.5", "--burn-const", "0.05"],
+    "ras": ["--k", "2", "--beta", "0.5"],
+}
+
+
+_EXTREME_CASES = [
+    (["estimate", "--burn-const", "inf"], 2, "burn_const must be positive and finite"),
+    (["estimate", "--burn-const", "nan"], 2, "burn_const must be positive and finite"),
+    (["estimate", "--burn-const", "1e308"], 3, "burn-in steps T would be inf"),
+    (["ras", "--k", "inf"], 2, "k must be >= 1 and finite"),
+    (["ras", "--k", "nan"], 2, "k must be >= 1 and finite"),
+    # The cutoff overflows a float; 3 nodes are counted exactly.
+    (["ras", "--k", "1e308"], 0, "estimate=3 mode=exact"),
+    (["estimate", "--xi", "1e-200"], 3, "samples m would be inf"),
+    (["estimate", "--xi", "1e-10", "--transport", "exact"], 3, "samples m would be 5.12e+22"),
+    (["estimate", "--delta", "1e-320"], 3, "repetitions t would be inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, says", _EXTREME_CASES, ids=[" ".join(argv) for argv, _, _ in _EXTREME_CASES]
+)
+def test_extreme_numbers_are_refused_by_name(capsys, tmp_path, argv, code, says):
+    path = tmp_path / "two.graph"
+    path.write_text("p graph 2 0\n", encoding="utf-8")
+    command, *overrides = argv
+    # argparse keeps the last value of an option, so the overrides win.
+    assert main([command, "--problem", "is", "--input", str(path), "--delta", "0.5",
+                 "--seed", "1", *_EXTREME_BASE[command], *overrides]) == code
+    assert says in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, text, argv",
     [

@@ -233,6 +233,17 @@ def test_monotone_values_give_the_prefix_machines_tree(rng):
         assert list(values) == list(prefixes), circuit
 
 
+def test_monotone_state_keeps_only_the_output_cone_current():
+    # The output is x0 OR x1; gate 2, x0 AND x1, is outside its cone.
+    # Setting x0 to 0 would turn gate 2 off, but its bit stays 1.
+    circuit = MonotoneCircuit(2, (("AND", 0, 1), ("OR", 0, 1)), 3)
+    instance = monotone_instance(circuit)
+    assert instance.step(instance.initial) == Branch((1, 0b1110), (1, 0b1111))
+    values = list(build_branching_tree(instance).iter_nodes())
+    prefixes = list(build_branching_tree(_prefix_monotone_instance(circuit)).iter_nodes())
+    assert values == prefixes and len(values) == count_sat(circuit) == 3
+
+
 def test_branch_bound_is_n_plus_one(rng):
     g = random_graph(rng, 7, 0.3)
     assert is_instance(g).branch_bound == 8
