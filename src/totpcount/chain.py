@@ -25,21 +25,17 @@ On an explicit tree ``estimate_alpha`` walks all t repetitions of m
 samples of a depth together, in the fewest ``walk_batch`` calls of at
 most 2^15 walkers that hold whole repetitions, and splits each call's
 finals back into per-repetition root-hit counts.  On an oracle-backed
-tree it walks one sample at a time, over a table of the rows of S_i that
-grows as the walk finds nodes (``_GrownRows``).  Its uniforms come in
-blocks of at most 2^12 (``_grown_root_hits``), each holding as many whole
-samples as fit, so memory stays bounded whatever T is; a sample longer
-than a block carries its row from one block to the next.  A row's child
-columns are filled by one ``children`` query (a machine replay) the
-first time a walker there draws a child move, so each node is asked at
-most once and no node the walk never reaches is asked at all.  Its
-moves are exactly those of ``lazy_step``, the interval form of the lazy
-kernel, which stays as the reference rule.  Either way the walk at
-depth i runs on the truncation S_i of the tree it is given, with no
-tree object for S_i: ``IndexedTree(tree, i)`` indexes only the nodes of
-depth <= i, and the grown table gives rows at depth i hold columns
-without asking the tree, so the child moves of depth-i nodes find no
-child and hold.
+tree it walks the same move counts and 2-bit codes one sample at a time,
+one Python lookup per move, in bounded blocks (``_grown_root_hits``),
+over a table of the rows of S_i that grows as the walk finds nodes
+(``_GrownRows``).  A row's child columns are filled by one ``children``
+query (a machine replay) the first time a walker there draws a child
+move, so each node is asked at most once and no node the walk never
+reaches is asked at all.  Either way the walk at depth i runs on the
+truncation S_i of the tree it is given, with no tree object for S_i:
+``IndexedTree(tree, i)`` indexes only the nodes of depth <= i, and the
+grown table gives rows at depth i hold columns without asking the tree,
+so the child moves of depth-i nodes find no child and hold.
 
 Sample-size rule: estimating pi(root) within a factor (1 +- zeta) with
 failure probability <= 1/4 needs m = ceil(4(n+1)/zeta^2) independent
@@ -115,9 +111,9 @@ def _count(name: str, value: float) -> int:
     return math.ceil(value)
 
 
-# The reference rule for one scalar move.  The walk over oracle-backed
-# trees makes exactly these moves on its grown table (``_GrownRows``), and
-# the tests compare the two.  The benchmark tracer, benchmarks/tracer.py,
+# The reference rule for one lazy step, holds included.  No walker calls
+# it: both walk the Q moves of P = (I + Q) / 2 instead, and the tests
+# check their laws against it.  The benchmark tracer, benchmarks/tracer.py,
 # patches ``chain.lazy_step`` and refuses to run without it.
 def lazy_step(
     children: Callable[[NodePath], tuple[NodePath, ...]],
@@ -269,8 +265,9 @@ class IndexedTree:
         A call costs about ``n_walkers * steps / (2 j)`` gathered entries
         plus a fixed numpy cost per gather; ``estimate_alpha`` therefore
         walks many repetitions per call.  Memory is 4 bytes a walker of
-        state, 4 of move counts, 8 of gather index and a draw block of
-        2 bytes a code, max(2^15, ``n_walkers``) codes.
+        state, then 8 of move counts, freed before the 8 of gather index
+        are allocated, and a draw block of 2 bytes a code,
+        max(2^15, ``n_walkers``) codes.
         """
         state = np.full(n_walkers, self.root, dtype=np.int32)
         if not (n_walkers and steps):
@@ -280,7 +277,7 @@ class IndexedTree:
         low, high = int(moves[0]) // j, int(moves[-1]) // j
         # edges[x] is the number of walkers with fewer than low j + x moves.
         edges = np.searchsorted(
-            moves, np.arange(low * j, (high + 1) * j + 1, dtype=np.int32)
+            moves, np.arange(low * j, (high + 1) * j + 1, dtype=np.int64)
         ).tolist()
         # Free the move counts before the gather index is allocated.
         del moves
@@ -299,13 +296,13 @@ class IndexedTree:
 
 
 def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Q-move counts of ``n_walkers`` lazy walks of ``steps`` steps, sorted (int32).
+    """Q-move counts of ``n_walkers`` lazy walks of ``steps`` steps, sorted (int64).
 
     Each count is Binomial(steps, 1/2).  They are drawn in chunks of at
-    most 2^13 (64 KB of int64 draws) into one int32 buffer, sorted in
-    place.
+    most 2^13 into one buffer, sorted in place; int32 would silently wrap
+    the counts of a ``steps`` past 2^32.
     """
-    moves = np.empty(n_walkers, dtype=np.int32)
+    moves = np.empty(n_walkers, dtype=np.int64)
     chunk = _BLOCK_CODES // 4
     for start in range(0, n_walkers, chunk):
         part = moves[start : start + chunk]
@@ -375,56 +372,48 @@ def _cut_codes(words: np.ndarray, bits: int) -> np.ndarray:
 # bytes a row (85 MB at the cap); past it the call raises SizeGuardError
 # rather than evict.
 _MAX_ROWS = 1 << 20
-# Uniforms per rng.random call of the scalar walk.  The walk reads a block
-# as Python floats, about 40 bytes a double (160 KB here); 2^15 ran no
-# faster and held eight times that.
-_BLOCK_UNIFORMS = 1 << 12
+# Move counts per ``_sorted_moves`` call of the scalar walk, and 64-bit
+# words per draw block of its 2-bit codes.  The walk reads a block as a
+# list of 2^12 small ints (32 KB); 2^12-word blocks, four times that,
+# ran within the host's noise of it (about 4% faster in-process).
+_BLOCK_SAMPLES = 1 << 12
+_BLOCK_WORDS = 1 << 10
 
 
 class _GrownRows:
     """The rows of S_i that the scalar walk has found, for one ``estimate_alpha`` call.
 
     Laid out like ``IndexedTree.flat_table`` pre-shifted for ``_advance``:
-    ``table[4 k + b]`` is 4 times the row reached from row k by the Q move
-    whose draw is b in {0..3} (0 and 1 to the parent, 2 to the left child,
-    3 to the right child; a hold is 4 k).  A row is stored by that
-    offset 4 k, and the root is row 0.  A row starts with its parent
-    columns set and its child columns at -1, unknown, except at depth i,
-    where the truncation has no children and they hold.  The first child
-    draw at an unknown row expands it: its path is rebuilt from the parent
-    links and one ``tree.children`` query fills both child columns,
-    appending a row for each child present.  So the tree is asked once
-    per node the walk reaches with a child draw, and never about a node
-    of depth i or below.
+    ``table[4 k + c]`` is 4 times the row reached from row k by the Q move
+    whose code is c in {0..3} (0 and 1 to the parent, 2 to the left child,
+    3 to the right child; a hold is 4 k), so a code means the same move
+    here as in ``walk_batch``.  A row is stored by that offset 4 k, and
+    the root is row 0.  A row starts with its parent columns set and its
+    child columns at -1, unknown, except at depth i, where the truncation
+    has no children and they hold.  The first child move at an unknown
+    row expands it: its path is rebuilt from the parent links and one
+    ``tree.children`` query fills both child columns, appending a row for
+    each child present.  So the tree is asked once per node the walk
+    reaches with a child move, and never about a node of depth i or below.
     """
 
     def __init__(self, tree: BranchingTree, depth: int, planned_steps: int):
         self.tree, self.depth, self.planned_steps = tree, depth, planned_steps
         self.table = [0, 0, -1, -1]
 
-    def walk(self, uniforms: list[float], at: int = 0) -> int:
-        """Offset of the row reached from offset ``at`` by one lazy step per uniform.
+    def walk(self, codes: list[int], at: int = 0) -> int:
+        """Offset of the row reached from offset ``at`` by one Q move per 2-bit code.
 
         ``at`` is the root by default; a sample walked over several
-        blocks of uniforms starts each block where the last one ended.
-        Draw u moves by column ``int(8 u)`` when u < 1/2 and holds
-        otherwise, which is ``lazy_step``'s partition bit for bit: the
-        parent below 1/4 (columns 0 and 1 agree), the left child on
-        [1/4, 3/8) and the right child on [3/8, 1/2).  The column is
-        found by those comparisons, which cost less than ``int(8 * u)``.
+        blocks of codes starts each block where the last one ended.
         """
         table = self.table
-        for u in uniforms:
-            if u < 0.5:
-                if u < 0.25:
-                    at = table[at]
-                else:
-                    column = at + 2 if u < 0.375 else at + 3
-                    to = table[column]
-                    if to < 0:
-                        self._expand(at)
-                        to = table[column]
-                    at = to
+        for c in codes:
+            to = table[at + c]
+            if to < 0:
+                self._expand(at)
+                to = table[at + c]
+            at = to
         return at
 
     def path(self, at: int) -> NodePath:
@@ -458,28 +447,30 @@ class _GrownRows:
 def _grown_root_hits(rows: _GrownRows, m: int, steps: int, rng: np.random.Generator) -> int:
     """Root hits of ``m`` walks of ``steps`` lazy steps from the root of ``rows``.
 
-    All m * ``steps`` uniforms are drawn in order, in blocks of at most
-    ``_BLOCK_UNIFORMS``.  A block holds as many whole samples as fit, and
-    each sample walks its own slice.  A sample longer than a block walks
-    over several blocks and carries its row from one to the next.  A
-    generator's uniforms do not depend on how they are split into calls,
-    so the walks are those of one ``rng.random(steps)`` per sample.
-    Memory is one block, whatever ``steps`` is.
+    As in ``walk_batch``, each walk makes k ~ Binomial(``steps``, 1/2) Q
+    moves, drawn sorted by ``_sorted_moves`` for at most
+    ``_BLOCK_SAMPLES`` walks at a time.  Those walks read their moves in
+    turn from one stream of 2-bit codes, the ``_cut_codes`` lanes of
+    exactly enough full-range words, drawn in blocks of at most
+    ``_BLOCK_WORDS``; a walk that reaches the end of a block carries its
+    row into the next.  A generator's full-range uint64 words do not
+    depend on how they are split into calls, so neither do the walks.
+    Memory is one block and one chunk of counts, whatever m and T are.
     """
-    hits = 0
-    per_block = _BLOCK_UNIFORMS // steps
-    if per_block:
-        walk = rows.walk
-        for first in range(0, m, per_block):
-            block = rng.random(min(per_block, m - first) * steps).tolist()
-            for start in range(0, len(block), steps):
-                hits += walk(block[start : start + steps]) == 0
-        return hits
-    for _ in range(m):
-        at = 0
-        for done in range(0, steps, _BLOCK_UNIFORMS):
-            at = rows.walk(rng.random(min(_BLOCK_UNIFORMS, steps - done)).tolist(), at)
-        hits += at == 0
+    hits, walk = 0, rows.walk
+    for first in range(0, m, _BLOCK_SAMPLES):
+        moves = _sorted_moves(min(_BLOCK_SAMPLES, m - first), steps, rng).tolist()
+        left, block, used = sum(moves), [], 0
+        for k in moves:
+            at = 0
+            while used + k > len(block):
+                at = walk(block[used:], at)
+                k -= len(block) - used
+                words = min(_BLOCK_WORDS, -(-left // 4))
+                block = _cut_codes(rng.integers(0, 1 << 64, size=words, dtype=np.uint64), 2).tolist()
+                left, used = left - len(block), 0
+            hits += walk(block[used : used + k], at) == 0
+            used += k
     return hits
 
 
@@ -524,8 +515,11 @@ def _alpha_from_hits(
 ) -> AlphaEstimate:
     m = sample_size_for(height, zeta)
     t = repetitions_for(delta)
-    fractions = [draw_hits(m) / m for _ in range(t)]
-    p_hat = float(np.median(fractions))
+    # The exact sorted middle, as np.median gives it, without the
+    # numpy.ma import that np.median's first call costs.
+    fractions = sorted(draw_hits(m) / m for _ in range(t))
+    half = t // 2
+    p_hat = fractions[half] if t % 2 else (fractions[half - 1] + fractions[half]) / 2
     degenerate = p_hat <= 0.0
     if degenerate:
         # Keeps the reciprocal finite; under the sample-size rule the median
@@ -565,13 +559,14 @@ def estimate_alpha(
     rng : numpy Generator; required unless the tree has a single node.
 
     Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
-    steps from the root: vectorized on explicit trees, one scalar move at
-    a time on oracle-backed ones.  There the uniforms are drawn in
-    blocks of at most ``_BLOCK_UNIFORMS`` (2^12), in the order of T
-    scalar draws per sample, and each sample moves exactly as
-    ``lazy_step`` would on its T draws, over a table of the rows of S_i
-    that lives for the call and grows as the walk finds nodes, asking
-    ``tree.children`` once per node it expands.  A call whose table
+    steps from the root, as Binomial(T, 1/2) moves of the non-lazy
+    kernel: vectorized on explicit trees, one scalar move at a time on
+    oracle-backed ones.  There the move counts and 2-bit codes are drawn
+    as ``walk_batch`` draws them, in blocks of at most ``_BLOCK_SAMPLES``
+    counts (2^12) and ``_BLOCK_WORDS`` words of codes (2^10), and the
+    walk moves over a table of the rows of S_i that lives for the call
+    and grows as the walk finds nodes, asking ``tree.children`` once per
+    node it expands.  A call whose table
     would pass ``_MAX_ROWS`` rows (2^20) raises SizeGuardError, and one
     whose T, m or t is no finite count below 2^63 raises it before it
     walks.

@@ -1,8 +1,11 @@
 import functools
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +253,16 @@ def _exact_power(tree, j, lazy=True):
     for _ in range(j - 1):
         power = _matmul(power, step)
     return power
+
+
+ORACLE_TREES = {
+    "is": build_branching_tree(is_instance(Graph.from_edges(4, [(1, 2)]))),
+    "dnf": build_branching_tree(dnf_instance(DnfFormula(4, ((1,), (2, 3))))),
+    # (x0 OR x1) AND x2: three satisfying assignments.
+    "mono": build_branching_tree(
+        monotone_instance(MonotoneCircuit(3, (("OR", 0, 1), ("AND", 3, 2)), 4))
+    ),
+}
 
 
 SMALL_TREES = [
@@ -513,17 +526,24 @@ def test_estimate_alpha_walks_whole_repetitions_per_batch(tree, cap, monkeypatch
 @pytest.mark.parametrize(
     "tree",
     [
-        ExplicitTree([(), (1,)]),
-        ExplicitTree([(), (0,), (1,), (0, 0), (1, 0), (1, 1)]),
-        ExplicitTree([(), (0,), (0, 1), (0, 1, 0)]),
-        ExplicitTree([(), (1,), (1, 0), (1, 1), (1, 1, 0)], height=4),
+        *(
+            pytest.param(tree, id=f"{len(tree.nodes)}nodes-height{tree.height}")
+            for tree in [
+                ExplicitTree([(), (1,)]),
+                ExplicitTree([(), (0,), (1,), (0, 0), (1, 0), (1, 1)]),
+                ExplicitTree([(), (0,), (0, 1), (0, 1, 0)]),
+                ExplicitTree([(), (1,), (1, 0), (1, 1), (1, 1, 0)], height=4),
+            ]
+        ),
+        *(pytest.param(tree, id=name) for name, tree in ORACLE_TREES.items()),
     ],
-    ids=lambda t: f"{len(t.nodes)}nodes-height{t.height}",
 )
 def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
-    # Walks of T = 1, 3, 5 and 9 steps end 39-78 sigma away from the
-    # stationary root mass, so this checks the law of exactly T steps,
-    # leftover steps included, not just the limit.
+    # Walks of T = 1, 3, 5 and 9 steps on the explicit trees end 39-78
+    # sigma away from the stationary root mass, so this checks the law of
+    # exactly T steps, leftover steps included, not just the limit.  The
+    # oracle-backed trees take the scalar walk, checked against the exact
+    # law of their materialized copy.
     _, draws = _spy_on_estimate_alpha(monkeypatch)
     est = estimate_alpha(
         tree, tree.height, 0.1, 0.1, 0.005,
@@ -531,9 +551,10 @@ def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
     )
     walks = est.samples * est.repetitions
     steps = est.chain_steps // walks
-    nodes, _ = transition_matrix_exact(tree)
+    explicit = materialize(tree)
+    nodes, _ = transition_matrix_exact(explicit)
     root = nodes.index(ROOT)
-    exact = np.linalg.matrix_power(np.array(_exact_matrix(tree), dtype=float), steps)[root, root]
+    exact = np.linalg.matrix_power(np.array(_exact_matrix(explicit), dtype=float), steps)[root, root]
     mean_fraction = np.mean([hits / m for m, hits in draws])
     assert abs(mean_fraction - exact) <= 4 * math.sqrt(exact * (1 - exact) / walks)
 
@@ -604,16 +625,6 @@ def test_grown_walk_asks_at_most_once_per_step_and_stops_at_its_row_cap(monkeypa
         estimate_alpha(tree, i, zeta, delta, burn_const, rng=np.random.default_rng(5))
 
 
-ORACLE_TREES = {
-    "is": build_branching_tree(is_instance(Graph.from_edges(4, [(1, 2)]))),
-    "dnf": build_branching_tree(dnf_instance(DnfFormula(4, ((1,), (2, 3))))),
-    # (x0 OR x1) AND x2: three satisfying assignments.
-    "mono": build_branching_tree(
-        monotone_instance(MonotoneCircuit(3, (("OR", 0, 1), ("AND", 3, 2)), 4))
-    ),
-}
-
-
 @pytest.mark.parametrize("tree", ORACLE_TREES.values(), ids=ORACLE_TREES.keys())
 def test_scalar_walk_asks_each_node_once(tree, monkeypatch):
     asked = Counter()
@@ -649,19 +660,33 @@ def _random_instance_trees(seed: int, per_kind: int) -> list[InstanceTree]:
     return trees
 
 
-def _lazy_step_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate:
-    """The estimate of walking ``lazy_step`` itself, one sample per ``rng.random(T)``."""
-    children = functools.cache(tree.children)
+def _flat_table_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate:
+    """The estimate of walking ``IndexedTree(tree, i).flat_table`` on the scalar walk's draws.
+
+    Each chunk of at most ``_BLOCK_SAMPLES`` samples draws its sorted
+    Binomial(T, 1/2) move counts, then all of its 2-bit codes in one call,
+    and the samples read the codes in turn.  Code c moves as ``lazy_step``
+    does on [c/8, (c+1)/8), so this is the ``lazy_step`` walk with its
+    holds skipped (see ``test_grown_rows_move_as_lazy_step_at_the_interval_ends``).
+    """
+    indexed = IndexedTree(tree, i)
+    table = indexed.flat_table.tolist()
     m, t = sample_size_for(i, zeta), repetitions_for(delta)
     steps = burn_in_steps(i, zeta / (1 + zeta), burn_const)
+    # Lanes come out in memory order: least significant first on little-endian hosts.
+    lanes = range(4) if sys.byteorder == "little" else range(3, -1, -1)
     fractions = []
     for _ in range(t):
         hits = 0
-        for _ in range(m):
-            node = ROOT
-            for u in rng.random(steps).tolist():
-                node = lazy_step(children, node, u, i)
-            hits += node == ROOT
+        for first in range(0, m, chain._BLOCK_SAMPLES):
+            moves = np.sort(rng.binomial(steps, 0.5, size=min(chain._BLOCK_SAMPLES, m - first)))
+            words = rng.integers(0, 2**64, size=-(-int(moves.sum()) // 4), dtype=np.uint64)
+            codes = iter([(int(w) >> 16 * lane) & 3 for w in words for lane in lanes])
+            for k in moves.tolist():
+                node = indexed.root
+                for _ in range(k):
+                    node = table[4 * node + next(codes)]
+                hits += node == indexed.root
         fractions.append(hits / m)
     p_hat = float(np.median(fractions))
     degenerate = p_hat <= 0.0
@@ -677,23 +702,31 @@ def _lazy_step_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate:
     [*ORACLE_TREES.values(), *_random_instance_trees(91, 3)],
     ids=[*ORACLE_TREES.keys(), *(f"random{k}" for k in range(9))],
 )
-def test_grown_walk_gives_the_lazy_step_estimate(tree):
+def test_grown_walk_gives_the_lazy_step_estimate(tree, monkeypatch):
     burn_const = 0.05
-    for i in range(1, tree.height + 1):
-        walked = estimate_alpha(tree, i, 0.5, 0.5, burn_const, rng=np.random.default_rng(i))
-        reference = _lazy_step_estimate(tree, i, 0.5, 0.5, burn_const, np.random.default_rng(i))
-        assert walked == reference
+    # A cap of 7 samples splits each repetition into several chunks of counts.
+    for samples in (chain._BLOCK_SAMPLES, 7):
+        monkeypatch.setattr(chain, "_BLOCK_SAMPLES", samples)
+        for i in range(1, tree.height + 1):
+            walked = estimate_alpha(tree, i, 0.5, 0.5, burn_const, rng=np.random.default_rng(i))
+            reference = _flat_table_estimate(tree, i, 0.5, 0.5, burn_const, np.random.default_rng(i))
+            assert walked == reference
 
 
 class _SpyRng:
-    """A generator that records the size of every ``random(n)`` it is asked for."""
+    """A generator that records the move counts and the code words it is asked for."""
 
     def __init__(self, seed: int):
-        self.rng, self.sizes = np.random.default_rng(seed), []
+        self.rng, self.moves, self.words = np.random.default_rng(seed), [], []
 
-    def random(self, size: int) -> np.ndarray:
-        self.sizes.append(size)
-        return self.rng.random(size)
+    def binomial(self, n, p, size):
+        drawn = self.rng.binomial(n, p, size)
+        self.moves.append(drawn)
+        return drawn
+
+    def integers(self, low, high, size, dtype):
+        self.words.append(size)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
 
 
 @pytest.mark.parametrize(
@@ -703,52 +736,100 @@ class _SpyRng:
 )
 def test_uniform_blocks_of_any_size_give_the_same_walk(tree, monkeypatch):
     zeta, delta, burn_const = 0.5, 0.5, 0.05
-    hits, default_cap = [], chain._BLOCK_UNIFORMS
+    hits, default_cap = [], chain._BLOCK_WORDS
     grown = chain._grown_root_hits
 
     def recorded(*args):
         hits.append(grown(*args))
         return hits[-1]
 
+    walked = []
+    walk = chain._GrownRows.walk
+
+    def counted(self, codes, at=0):
+        walked.append(len(codes))
+        return walk(self, codes, at)
+
     monkeypatch.setattr(chain, "_grown_root_hits", recorded)
+    monkeypatch.setattr(chain._GrownRows, "walk", counted)
     for i in range(1, tree.height + 1):
-        steps = burn_in_steps(i, zeta / (1 + zeta), burn_const)
-        planned = sample_size_for(i, zeta) * repetitions_for(delta) * steps
-        assert steps > 2
+        spy = _SpyRng(i)
+        estimate_alpha(tree, i, zeta, delta, burn_const, rng=spy)
+        # The words of the longest walk: caps below it split that walk.
+        longest = -(-max(int(moves.max()) for moves in spy.moves) // 4)
+        assert longest >= 2
         runs = []
-        # Caps below T walk each sample over several draws, carrying its row.
-        for cap in [default_cap, 1, 2, steps - 1, steps, steps + 1]:
-            monkeypatch.setattr(chain, "_BLOCK_UNIFORMS", cap)
-            spy, hits[:] = _SpyRng(i), []
+        for cap in [default_cap, 1, 2, longest - 1, longest, longest + 1]:
+            monkeypatch.setattr(chain, "_BLOCK_WORDS", cap)
+            spy, hits[:], walked[:] = _SpyRng(i), [], []
             runs.append((estimate_alpha(tree, i, zeta, delta, burn_const, rng=spy), list(hits)))
-            assert max(spy.sizes) <= cap
-            assert sum(spy.sizes) == planned
-        assert all(run == runs[0] for run in runs), (i, steps)
+            assert max(spy.words) <= cap
+            # One code per planned move, from exactly enough words.
+            planned = sum(int(moves.sum()) for moves in spy.moves)
+            assert sum(walked) == planned
+            assert sum(spy.words) == sum(-(-int(moves.sum()) // 4) for moves in spy.moves)
+        assert all(run == runs[0] for run in runs), i
 
 
 @pytest.mark.parametrize("tree", ORACLE_TREES.values(), ids=ORACLE_TREES.keys())
 def test_grown_rows_move_as_lazy_step_at_the_interval_ends(tree):
-    # lazy_step's intervals end at 1/4, 3/8 and 1/2; check each end and
-    # the draw just below it, from every node of every truncation.
-    ends = [0.25, 0.375, 0.5]
-    draws = ends + [float(np.nextafter(u, 0.0)) for u in ends]
+    # Code c is the Q move that lazy_step makes on [c/8, (c+1)/8): the
+    # parent for codes 0 and 1, the left child for 2 and the right child
+    # for 3.  Check each code from every node of every truncation against
+    # flat_table, and against lazy_step at both ends of its interval.
     children = functools.cache(tree.children)
     for i in range(1, tree.height + 1):
+        indexed = IndexedTree(tree, i)
         rows = chain._GrownRows(tree, i, 0)
         for node in tree.iter_nodes(i):
-            # Left child on [1/4, 3/8), right child on [3/8, 1/2).
-            to_node = [0.3 if b == 0 else 0.4 for b in node]
-            for u in draws:
-                assert rows.path(rows.walk(to_node + [u])) == lazy_step(children, node, u, i)
+            to_node, k = [2 + b for b in node], indexed.nodes.index(node)
+            for c in range(4):
+                to = rows.path(rows.walk(to_node + [c]))
+                assert to == indexed.nodes[indexed.flat_table[4 * k + c]]
+                for u in (c / 8, float(np.nextafter((c + 1) / 8, 0.0))):
+                    assert to == lazy_step(children, node, u, i)
 
 
 @pytest.mark.parametrize("n", [1, 23, 1000])
 def test_bulk_uniforms_are_the_scalar_stream(n):
-    # The scalar walk draws a sample's uniforms in one call; its records
-    # match one draw per step only because the two streams are equal.
-    bulk, scalar = derived_rng(7, 3), derived_rng(7, 3)
-    assert bulk.random(n).tolist() == [scalar.random() for _ in range(n)]
-    assert bulk.random() == scalar.random()
+    # The scalar walk draws its code words in blocks whose sizes depend on
+    # the block cap; its walks do not depend on that cap only because
+    # full-range uint64 words split into any calls give the same stream.
+    bulk, split = derived_rng(7, 3), derived_rng(7, 3)
+
+    def words(rng, size):
+        return rng.integers(0, 2**64, size=size, dtype=np.uint64).tolist()
+
+    cut = n // 3
+    assert words(bulk, n) == words(split, cut) + [w for _ in range(n - cut) for w in words(split, 1)]
+    assert words(bulk, 1) == words(split, 1)
+
+
+def test_move_counts_past_2_to_the_31_do_not_wrap(rng):
+    steps = 3 * 2**32
+    moves = chain._sorted_moves(4, steps, rng)
+    assert np.all(np.abs(moves - steps / 2) <= 10 * math.sqrt(steps) / 2)
+
+
+def test_median_needs_no_masked_arrays(tmp_path):
+    # np.median's first call imports numpy.ma; the estimator takes the
+    # sorted middle of its fractions itself.
+    script = f"""
+import sys
+from pathlib import Path
+from totpcount import cli
+from totpcount.problems import DnfFormula, Graph, save_dnf, save_graph
+graph, dnf = Path({str(tmp_path)!r}) / "edge.graph", Path({str(tmp_path)!r}) / "x1.dnf"
+save_graph(Graph.from_edges(2, [(1, 2)]), graph)
+save_dnf(DnfFormula(2, ((1,),)), dnf)
+cli.run_estimate("is", str(graph), 1.0, 0.5, 1, burn_const=0.025)
+cli.run_capp("dnf", str(dnf), 0.5, 0.5, 1, transport="exact")
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = str(Path(chain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_estimate_alpha_validates_parameters(rng):

@@ -143,10 +143,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 8.0,
-        "estimate": 2.1095933882944156,
+        "estimate": 2.326516929886724,
         "estimate_clamped": 2,
-        "fraction": 0.26369917353680195,
-        "fraction_clamped": 0.26369917353680195,
+        "fraction": 0.2908146162358405,
+        "fraction_clamped": 0.2908146162358405,
         "height": 3,
         "mode": "telescoping",
         "params": {
@@ -165,10 +165,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 8.0,
-        "estimate": 2.150123826486711,
+        "estimate": 2.1184525279487403,
         "estimate_clamped": 2,
-        "fraction": 0.26876547831083886,
-        "fraction_clamped": 0.26876547831083886,
+        "fraction": 0.26480656599359254,
+        "fraction_clamped": 0.26480656599359254,
         "height": 3,
         "mode": "telescoping",
         "params": {
@@ -187,10 +187,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 8.0,
-        "estimate": 3.467597515695452,
+        "estimate": 3.4636855951136027,
         "estimate_clamped": 3,
-        "fraction": 0.4334496894619315,
-        "fraction_clamped": 0.4334496894619315,
+        "fraction": 0.43296069938920034,
+        "fraction_clamped": 0.43296069938920034,
         "height": 3,
         "mode": "telescoping",
         "params": {
