@@ -23,10 +23,12 @@ walkers sorted by their move counts, so the walkers still moving form
 one contiguous slice at every gather, and shuffles the finals at the end.
 On an explicit tree ``estimate_alpha`` walks all t repetitions of m
 samples of a depth together, in the fewest ``walk_batch`` calls of at
-most 2^15 walkers that hold whole repetitions, and splits each call's
-finals back into per-repetition root-hit counts.  On an oracle-backed
-tree it walks the same move counts and 2-bit codes one sample at a time,
-one Python lookup per move, in bounded blocks (``_grown_root_hits``),
+most 2^15 walkers that hold whole repetitions (a wider repetition walks
+alone, in calls of at most 2^15), and splits each call's finals back
+into per-repetition root-hit counts.  On an oracle-backed
+tree it walks the same move counts and 2-bit codes one sample at a time
+from the root, one Python lookup per move, each chunk of samples reading
+its codes in turn from one lazily drawn stream (``_grown_root_hits``),
 over a table of the rows of S_i that grows as the walk finds nodes
 (``_GrownRows``).  A row's child columns are filled by one ``children``
 query (a machine replay) the first time a walker there draws a child
@@ -45,10 +47,11 @@ repetitions.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -298,15 +301,10 @@ class IndexedTree:
 def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
     """Q-move counts of ``n_walkers`` lazy walks of ``steps`` steps, sorted (int64).
 
-    Each count is Binomial(steps, 1/2).  They are drawn in chunks of at
-    most 2^13 into one buffer, sorted in place; int32 would silently wrap
-    the counts of a ``steps`` past 2^32.
+    Each count is Binomial(steps, 1/2), drawn by one ``rng.binomial``
+    call as int64, which holds the counts of a ``steps`` past 2^32.
     """
-    moves = np.empty(n_walkers, dtype=np.int64)
-    chunk = _BLOCK_CODES // 4
-    for start in range(0, n_walkers, chunk):
-        part = moves[start : start + chunk]
-        part[...] = rng.binomial(steps, 0.5, size=len(part))
+    moves = rng.binomial(steps, 0.5, size=n_walkers)
     moves.sort()
     return moves
 
@@ -401,13 +399,9 @@ class _GrownRows:
         self.tree, self.depth, self.planned_steps = tree, depth, planned_steps
         self.table = [0, 0, -1, -1]
 
-    def walk(self, codes: list[int], at: int = 0) -> int:
-        """Offset of the row reached from offset ``at`` by one Q move per 2-bit code.
-
-        ``at`` is the root by default; a sample walked over several
-        blocks of codes starts each block where the last one ended.
-        """
-        table = self.table
+    def walk(self, codes: Iterable[int]) -> int:
+        """Offset of the row reached from the root by one Q move per 2-bit code."""
+        table, at = self.table, 0
         for c in codes:
             to = table[at + c]
             if to < 0:
@@ -444,34 +438,35 @@ class _GrownRows:
             table += (at, at, hold, hold)
 
 
-def _grown_root_hits(rows: _GrownRows, m: int, steps: int, rng: np.random.Generator) -> int:
-    """Root hits of ``m`` walks of ``steps`` lazy steps from the root of ``rows``.
+def _grown_root_hits(
+    rows: _GrownRows, m: int, t: int, steps: int, rng: np.random.Generator
+) -> Iterator[int]:
+    """Root hits of each of ``t`` repetitions of ``m`` walks of ``steps`` lazy steps, in order.
 
     As in ``walk_batch``, each walk makes k ~ Binomial(``steps``, 1/2) Q
     moves, drawn sorted by ``_sorted_moves`` for at most
-    ``_BLOCK_SAMPLES`` walks at a time.  Those walks read their moves in
-    turn from one stream of 2-bit codes, the ``_cut_codes`` lanes of
-    exactly enough full-range words, drawn in blocks of at most
-    ``_BLOCK_WORDS``; a walk that reaches the end of a block carries its
-    row into the next.  A generator's full-range uint64 words do not
+    ``_BLOCK_SAMPLES`` walks at a time.  Each such chunk reads its moves
+    from one stream of 2-bit codes, the ``_cut_codes`` lanes of exactly
+    ceil(sum k / 4) full-range words, drawn lazily in blocks of at most
+    ``_BLOCK_WORDS``; each walk starts at the root and takes the next k
+    codes of the stream.  A generator's full-range uint64 words do not
     depend on how they are split into calls, so neither do the walks.
     Memory is one block and one chunk of counts, whatever m and T are.
     """
-    hits, walk = 0, rows.walk
-    for first in range(0, m, _BLOCK_SAMPLES):
-        moves = _sorted_moves(min(_BLOCK_SAMPLES, m - first), steps, rng).tolist()
-        left, block, used = sum(moves), [], 0
-        for k in moves:
-            at = 0
-            while used + k > len(block):
-                at = walk(block[used:], at)
-                k -= len(block) - used
-                words = min(_BLOCK_WORDS, -(-left // 4))
-                block = _cut_codes(rng.integers(0, 1 << 64, size=words, dtype=np.uint64), 2).tolist()
-                left, used = left - len(block), 0
-            hits += walk(block[used : used + k], at) == 0
-            used += k
-    return hits
+    walk = rows.walk
+    for _ in range(t):
+        hits = 0
+        for first in range(0, m, _BLOCK_SAMPLES):
+            moves = _sorted_moves(min(_BLOCK_SAMPLES, m - first), steps, rng).tolist()
+            words = -(-sum(moves) // 4)
+            sizes = (min(_BLOCK_WORDS, words - w) for w in range(0, words, _BLOCK_WORDS))
+            stream = itertools.chain.from_iterable(
+                _cut_codes(rng.integers(0, 1 << 64, size=size, dtype=np.uint64), 2).tolist()
+                for size in sizes
+            )
+            for k in moves:
+                hits += walk(itertools.islice(stream, k)) == 0
+        yield hits
 
 
 def sample_size_for(height: int, zeta: float) -> int:
@@ -492,18 +487,24 @@ def _batched_root_hits(
 
     The m t walkers go out in the fewest ``walk_batch`` calls of at most
     ``_BATCH_WALKERS`` walkers each that hold whole repetitions, sized
-    evenly (their repetition counts differ by at most one); a repetition
-    wider than the cap walks alone.  Each call's finals are read as one
-    row of m walkers per repetition.  Walkers are independent and
-    ``walk_batch`` returns them in uniformly random order, so the rows
-    are independent repetitions, as one call per repetition would give.
-    Batches are walked lazily, as their counts are asked for.
+    evenly (their repetition counts differ by at most one).  Each call's
+    finals are read as one row of m walkers per repetition.  Walkers are
+    independent and ``walk_batch`` returns them in uniformly random
+    order, so the rows are independent repetitions, as one call per
+    repetition would give.  A repetition wider than the cap walks alone,
+    in calls of at most the cap whose hits are added up, so memory stays
+    bounded whatever m is.  Batches are walked lazily, as their counts
+    are asked for.
     """
     calls = -(-t // max(1, _BATCH_WALKERS // m))
     base, extra = divmod(t, calls)
     for reps in [base + 1] * extra + [base] * (calls - extra):
-        finals = indexed.walk_batch(reps * m, steps, rng)
-        yield from np.count_nonzero(finals.reshape(reps, m) == indexed.root, axis=1).tolist()
+        hits = 0
+        for first in range(0, m, _BATCH_WALKERS):
+            width = min(_BATCH_WALKERS, m - first)
+            finals = indexed.walk_batch(reps * width, steps, rng)
+            hits += np.count_nonzero(finals.reshape(reps, width) == indexed.root, axis=1)
+        yield from hits.tolist()
 
 
 def _alpha_from_hits(
@@ -561,18 +562,29 @@ def estimate_alpha(
     Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
     steps from the root, as Binomial(T, 1/2) moves of the non-lazy
     kernel: vectorized on explicit trees, one scalar move at a time on
-    oracle-backed ones.  There the move counts and 2-bit codes are drawn
-    as ``walk_batch`` draws them, in blocks of at most ``_BLOCK_SAMPLES``
-    counts (2^12) and ``_BLOCK_WORDS`` words of codes (2^10), and the
-    walk moves over a table of the rows of S_i that lives for the call
-    and grows as the walk finds nodes, asking ``tree.children`` once per
-    node it expands.  A call whose table
+    oracle-backed ones.  There each chunk of at most ``_BLOCK_SAMPLES``
+    samples (2^12) draws its move counts as ``walk_batch`` does, and
+    every sample walks from the root on the next k 2-bit codes of one
+    stream per chunk, drawn in blocks of at most ``_BLOCK_WORDS`` words
+    (2^10).  The walk moves over a table of the rows of S_i that lives
+    for the call and grows as the walk finds nodes, asking
+    ``tree.children`` once per node it expands.  A call whose table
     would pass ``_MAX_ROWS`` rows (2^20) raises SizeGuardError, and one
     whose T, m or t is no finite count below 2^63 raises it before it
     walks.
-    The estimate satisfies
-    P[(1-zeta) alpha <= value <= (1+zeta) alpha] >= 1 - delta, up to
-    that root deviation, which is absorbed into zeta.
+
+    Guarantee, at C >= 2.  Let p = P^T(r, r) be one sample's chance to
+    end at the root r, and pi = pi_{S_i}(r) = alpha 2^i >= 1/(i+1).  The
+    burn-in keeps |p / pi - 1| <= eps = zeta / (1 + zeta), so p lies in
+    [pi / (1 + zeta), pi (1 + 2 zeta) / (1 + zeta)].  By Chebyshev, with
+    Var <= p / m and m = 4(i+1) / zeta^2, one repetition's root-hit
+    fraction leaves (1 +- zeta) p with probability at most
+    1 / (4(i+1) p) <= (1 + zeta) / 4, as p may fall below 1/(i+1).  The
+    median of t = ceil(8 ln(1/delta)) repetitions then fails with
+    probability at most exp(-t (1 - zeta)^2 / 8) <= delta^((1 - zeta)^2)
+    (Hoeffding), and otherwise value / alpha lies in
+    [(1 - zeta) / (1 + zeta), 1 + 2 zeta]: the root deviation widens the
+    (1 +- zeta) band rather than being absorbed into it.
     """
     if tree.is_empty:
         raise ValueError("cannot estimate alpha of an empty tree")
@@ -591,18 +603,10 @@ def estimate_alpha(
     steps = burn_in_steps(height, zeta / (1 + zeta), burn_const)
     m, t = sample_size_for(height, zeta), repetitions_for(delta)
     if isinstance(tree, ExplicitTree):
-        batched = _batched_root_hits(IndexedTree(tree, height), m, t, steps, rng)
-
-        def draw_hits(m: int) -> int:
-            return next(batched)
-
+        hits = _batched_root_hits(IndexedTree(tree, height), m, t, steps, rng)
     else:
-        rows = _GrownRows(tree, height, m * t * steps)
-
-        def draw_hits(m: int) -> int:
-            return _grown_root_hits(rows, m, steps, rng)
-
-    return _alpha_from_hits(height, zeta, delta, draw_hits, steps_per_sample=steps)
+        hits = _grown_root_hits(_GrownRows(tree, height, m * t * steps), m, t, steps, rng)
+    return _alpha_from_hits(height, zeta, delta, lambda m: next(hits), steps_per_sample=steps)
 
 
 def guard_height(height: int, limit: int = 500) -> None:

@@ -368,10 +368,7 @@ def main(argv=None) -> int:
     runner = _RUNNERS.get(args.command, run_bench if args.command == "bench" else None)
     try:
         record = runner(**kwargs)
-    except (ValueError, ParseError, UnsupportedFamilyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, ParseError, UnsupportedFamilyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SizeGuardError, MalformedInstanceError) as exc:

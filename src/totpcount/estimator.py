@@ -12,10 +12,27 @@ No S_i is built as a tree of its own: every depth walks S itself with i
 as the cut (``chain.estimate_alpha``), and the exact transport reads
 every pi_{S_i}(root) off one count of S's nodes per depth.
 
-The estimator targets an additive guarantee: with per-depth relative
-accuracy zeta = xi / (2(n+1)) and stationarity deviation
-zeta / (1 + zeta), the combined estimate lands within xi * 2^n of |S|
-with probability 1 - delta (failure budget split evenly over depths).
+Guarantee.  Every depth i >= 1 is estimated at relative accuracy
+zeta = xi / (2(n+1)) with failure budget delta / (n+1).  Each exact
+1/alpha_k = W_k, the weight of S_k viewed at height k, lies in
+[2^k, (k+1) 2^k].  If every alpha-hat_k / alpha_k lies in [a, b], each
+1/alpha-hat_k is off by at most e W_k with e = max(1/a - 1, 1 - 1/b),
+and the telescoped sum, whose depth-0 term is exact, by at most
+e sum_{k=1}^{n} (k+1) 2^k = e n 2^(n+1).  So:
+
+- "exact" transport: [a, b] = [1 - zeta, 1 + zeta] and e = zeta / (1 - zeta),
+  so |S-hat - |S|| <= n / ((n+1)(1 - zeta)) xi 2^n <= xi 2^n (as
+  (n+1) zeta = xi/2 <= 1/2), with failure probability at most
+  n delta / (n+1) <= delta;
+- "chain" transport at burn constant C >= 2: the burn-in's root deviation
+  eps = zeta / (1 + zeta) widens [a, b] to [(1 - zeta)/(1 + zeta), 1 + 2 zeta]
+  and the per-depth failure bound to (delta/(n+1))^((1 - zeta)^2) (see
+  ``chain.estimate_alpha``), so e = 2 zeta / (1 - zeta) and
+  |S-hat - |S|| <= 2n / ((n+1)(1 - zeta)) xi 2^n <= 2 xi 2^n, with
+  failure probability at most n (delta/(n+1))^((1 - zeta)^2).
+
+The reported ``error_radius`` is xi 2^n on both transports: on the chain
+transport that is what the schedule aims at, not what it proves.
 
 Also here: the exact threshold decider (depth-first search that never
 visits more than threshold+1 nodes), the absolute-error scheduler, and

@@ -9,7 +9,8 @@ with its literal sample-size and median-repetition rules, but draw root
 hits from the exact stationary law ("exact" transport) instead of paying
 the walk's burn-in for every one of the ~10^12 chain steps the literal
 schedule implies at these scales; the walk itself is validated separately
-by criteria 1, 4, and 5 and by the unit suite.
+by criteria 1, 4, and 5 and by the unit suite, and criterion 14 checks the
+coverage of the chain transport at its default burn-in on small trees.
 """
 import json
 import time
@@ -20,6 +21,7 @@ import pytest
 
 from totpcount import (
     CnfFormula,
+    build_branching_tree,
     count_computation_paths,
     count_independent_sets,
     count_sat,
@@ -45,9 +47,11 @@ from totpcount import (
     ras,
 )
 from totpcount.chain import IndexedTree, burn_in_steps, root_mass_exact
+from totpcount import cli
 from totpcount.cli import main as cli_main
 from totpcount.generate import random_cnf, random_dnf, random_graph, random_monotone_circuit
 from totpcount.oracles import tv_distance
+from totpcount.problems import save_circuit, save_graph
 
 
 def _criterion(num: int, ok: bool, elapsed: float, detail: str) -> None:
@@ -407,3 +411,73 @@ def test_criterion_13_determinism(tmp_path, capsys):
     }
     elapsed = time.perf_counter() - t0
     _criterion(13, ok, elapsed, "same seed reproduces identical estimate fields")
+
+
+def _chain_run_fails(report, tree, truth) -> bool:
+    """Whether a chain-transport report misses its radius or a depth's own target.
+
+    The per-depth gate is the one the benchmark applies: at every depth
+    i >= 1 the root-hit fraction lies within zeta * p_i of p_i, the exact
+    root mass of the depth-i truncation.
+    """
+    if abs(report.size_estimate - truth) > report.error_radius:
+        return True
+    for i, alpha in enumerate(report.alpha_estimates[1:], start=1):
+        p = float(root_mass_exact(truncate(tree, i)))
+        if abs(alpha.root_hit_fraction - p) > alpha.zeta * p:
+            return True
+    return False
+
+
+def _allowed_failures(delta: float, runs: int) -> float:
+    """delta's share of ``runs`` plus a 3-sigma binomial allowance."""
+    return runs * delta + 3 * np.sqrt(runs * delta * (1 - delta))
+
+
+def test_criterion_14_chain_transport_coverage(tmp_path, monkeypatch):
+    # Criteria 07, 08, 09 and 11 draw root hits from the exact law; this
+    # one walks the chain at the default burn constant, on explicit trees
+    # and on the oracle-backed trees the CLI builds.
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(1414)
+    explicit_runs, explicit_failed = 100, 0
+    for k in range(explicit_runs):
+        tree = random_tree(rng, 3 if k % 20 == 19 else 2, child_prob=float(rng.uniform(0.4, 0.8)))
+        report = estimate_size(tree, EstimatorConfig(0.5, 0.1, k))
+        explicit_failed += _chain_run_fails(report, tree, len(tree.nodes))
+    ok = explicit_failed <= _allowed_failures(0.1, explicit_runs)
+
+    reports = []
+    estimate = cli.estimate_size
+
+    def recorded(*args):
+        reports.append(estimate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "estimate_size", recorded)
+    draws = {
+        "is": (lambda: random_graph(rng, 1, 0.4), save_graph, is_instance),
+        "dnf": (lambda: random_dnf(rng, 1, int(rng.integers(1, 3))), save_dnf, dnf_instance),
+        "mono": (lambda: random_monotone_circuit(rng, 1, int(rng.integers(1, 3))), save_circuit,
+                 monotone_instance),
+    }
+    oracle_runs, oracle_failed = 0, 0
+    for problem, (draw, save, adapt) in draws.items():
+        for k in range(6):
+            instance = draw()
+            tree = build_branching_tree(adapt(instance))
+            assert tree.height == 2
+            path = tmp_path / f"{problem}{k}"
+            save(instance, path)
+            record = cli.run_estimate(problem, str(path), 1.0, 0.5, k)
+            assert record["params"]["transport"] == "chain" and record["steps"] > 0
+            oracle_runs += 1
+            oracle_failed += _chain_run_fails(reports[-1], tree, count_up_to(tree, 8).value)
+    ok &= oracle_failed <= _allowed_failures(0.5, oracle_runs)
+    elapsed = time.perf_counter() - t0
+    ok &= elapsed < 60.0
+    _criterion(
+        14, ok, elapsed,
+        f"chain-transport failures: {explicit_failed}/{explicit_runs} explicit (delta 0.1), "
+        f"{oracle_failed}/{oracle_runs} oracle-backed (delta 0.5)",
+    )

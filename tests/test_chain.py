@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -514,37 +515,33 @@ def test_estimate_alpha_walks_whole_repetitions_per_batch(tree, cap, monkeypatch
     steps = burn_in_steps(h, zeta / (1 + zeta), 0.1)
     assert [d for d, _ in draws] == [m] * t
     assert all(0 <= hits <= m for _, hits in draws)
-    per_call = max(1, cap // m)
-    assert len(widths) == -(-t // per_call)
     assert sum(widths) == m * t
-    assert all(w % m == 0 and w <= max(cap, m) for w in widths)
-    assert max(widths) - min(widths) <= m
+    if m <= cap:
+        assert len(widths) == -(-t // (cap // m))
+        assert all(w % m == 0 and w <= cap for w in widths)
+        assert max(widths) - min(widths) <= m
+    else:
+        # Each repetition walks alone, in calls of at most the cap.
+        assert widths == ([cap] * (m // cap) + [m % cap] * (m % cap > 0)) * t
     assert (est.samples, est.repetitions) == (m, t)
     assert est.chain_steps == m * t * steps
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [
-        *(
-            pytest.param(tree, id=f"{len(tree.nodes)}nodes-height{tree.height}")
-            for tree in [
-                ExplicitTree([(), (1,)]),
-                ExplicitTree([(), (0,), (1,), (0, 0), (1, 0), (1, 1)]),
-                ExplicitTree([(), (0,), (0, 1), (0, 1, 0)]),
-                ExplicitTree([(), (1,), (1, 0), (1, 1), (1, 1, 0)], height=4),
-            ]
-        ),
-        *(pytest.param(tree, id=name) for name, tree in ORACLE_TREES.items()),
-    ],
-)
-def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
-    # Walks of T = 1, 3, 5 and 9 steps on the explicit trees end 39-78
-    # sigma away from the stationary root mass, so this checks the law of
-    # exactly T steps, leftover steps included, not just the limit.  The
-    # oracle-backed trees take the scalar walk, checked against the exact
-    # law of their materialized copy.
-    _, draws = _spy_on_estimate_alpha(monkeypatch)
+LAW_TREES = [
+    ExplicitTree([(), (1,)]),
+    ExplicitTree([(), (0,), (1,), (0, 0), (1, 0), (1, 1)]),
+    ExplicitTree([(), (0,), (0, 1), (0, 1, 0)]),
+    ExplicitTree([(), (1,), (1, 0), (1, 1), (1, 1, 0)], height=4),
+]
+
+
+def _law_tree_id(tree) -> str:
+    return f"{len(tree.nodes)}nodes-height{tree.height}"
+
+
+def _assert_root_hits_follow_the_exact_t_step_law(tree, monkeypatch) -> list[int]:
+    """Check the mean root-hit fraction against P^T(r, r); return the walk_batch widths."""
+    widths, draws = _spy_on_estimate_alpha(monkeypatch)
     est = estimate_alpha(
         tree, tree.height, 0.1, 0.1, 0.005,
         rng=np.random.default_rng(4242),
@@ -557,6 +554,47 @@ def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
     exact = np.linalg.matrix_power(np.array(_exact_matrix(explicit), dtype=float), steps)[root, root]
     mean_fraction = np.mean([hits / m for m, hits in draws])
     assert abs(mean_fraction - exact) <= 4 * math.sqrt(exact * (1 - exact) / walks)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        *(pytest.param(tree, id=_law_tree_id(tree)) for tree in LAW_TREES),
+        *(pytest.param(tree, id=name) for name, tree in ORACLE_TREES.items()),
+    ],
+)
+def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
+    # Walks of T = 1, 3, 5 and 9 steps on the explicit trees end 39-78
+    # sigma away from the stationary root mass, so this checks the law of
+    # exactly T steps, leftover steps included, not just the limit.  The
+    # oracle-backed trees take the scalar walk, checked against the exact
+    # law of their materialized copy.
+    _assert_root_hits_follow_the_exact_t_step_law(tree, monkeypatch)
+
+
+@pytest.mark.parametrize("tree", LAW_TREES, ids=_law_tree_id)
+def test_repetitions_split_across_walk_batch_calls_follow_the_exact_t_step_law(tree, monkeypatch):
+    # Every repetition here has m >= 800 walkers, so a cap of 300 walks
+    # each one in several calls and adds up their hits.
+    monkeypatch.setattr(chain, "_BATCH_WALKERS", 300)
+    widths = _assert_root_hits_follow_the_exact_t_step_law(tree, monkeypatch)
+    assert max(widths) == 300 and len(widths) > repetitions_for(0.1)
+
+
+def test_a_wide_repetition_walks_in_bounded_memory():
+    # Two nodes at a tiny burn-in: m grows 28-fold between the two runs,
+    # and one walk_batch call per repetition would grow the peak with it.
+    tree = ExplicitTree([(), (0,)])
+    estimate_alpha(tree, 1, 0.05, 0.9, 0.001, rng=np.random.default_rng(1))
+    peaks = []
+    for zeta in (0.01, 0.003):
+        tracemalloc.start()
+        est = estimate_alpha(tree, 1, zeta, 0.9, 0.001, rng=np.random.default_rng(1))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert est.samples > chain._BATCH_WALKERS
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 # --- truncation is a depth argument
@@ -740,15 +778,17 @@ def test_uniform_blocks_of_any_size_give_the_same_walk(tree, monkeypatch):
     grown = chain._grown_root_hits
 
     def recorded(*args):
-        hits.append(grown(*args))
-        return hits[-1]
+        for count in grown(*args):
+            hits.append(count)
+            yield count
 
     walked = []
     walk = chain._GrownRows.walk
 
-    def counted(self, codes, at=0):
+    def counted(self, codes):
+        codes = list(codes)
         walked.append(len(codes))
-        return walk(self, codes, at)
+        return walk(self, codes)
 
     monkeypatch.setattr(chain, "_grown_root_hits", recorded)
     monkeypatch.setattr(chain._GrownRows, "walk", counted)

@@ -86,6 +86,34 @@ def test_estimate_missing_input_exits_two(tree_file):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--problem", "tree", "--xi", "1", "--delta", "0.5", "--seed", "1"],
+        ["exact", "--problem", "is", "--threshold", "10"],
+        ["capp", "--problem", "dnf", "--epsilon", "0.5", "--delta", "0.5", "--seed", "1"],
+    ],
+    ids=["estimate", "exact", "capp"],
+)
+def test_directory_as_input_exits_two(capsys, tmp_path, argv):
+    code = main(argv + ["--input", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
+def test_bench_out_directory_exits_two(capsys, tmp_path, tree_file):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"runs": [
+        {"command": "estimate", "problem": "tree", "input": str(tree_file),
+         "xi": 0.5, "delta": 0.5, "seed": 1, "transport": "exact"}
+    ]}), encoding="utf-8")
+    code = main(["bench", "--suite", str(suite), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
 def test_estimate_bad_xi_exits_two(capsys, tree_file):
     code = main(
         ["estimate", "--problem", "tree", "--input", str(tree_file),
