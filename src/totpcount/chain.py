@@ -18,23 +18,25 @@ a multiple of 1/4, so one move is a table lookup on a uniform draw from
 are the 4^j sequences of j draws, so one gather on a uniform 2j-bit code
 makes j moves with exactly the law of Q^j (see ``IndexedTree``).  The
 codes are the 16-bit lanes of full-range 64-bit random words, each
-masked to its low 2j bits (see ``_advance``).  ``walk_batch`` walks the
-walkers sorted by their move counts, so the walkers still moving form
-one contiguous slice at every gather, and shuffles the finals at the end.
-On an explicit tree ``estimate_alpha`` walks all t repetitions of m
-samples of a depth together, in the fewest ``walk_batch`` calls of at
-most 2^15 walkers that hold whole repetitions (a wider repetition walks
-alone, in calls of at most 2^15), and splits each call's finals back
-into per-repetition root-hit counts.  On an oracle-backed
-tree it walks the same move counts and 2-bit codes one sample at a time
-from the root, one Python lookup per move, each chunk of samples reading
-its codes in turn from one lazily drawn stream (``_grown_root_hits``),
-over a table of the rows of S_i that grows as the walk finds nodes
-(``_GrownRows``).  A row's child columns are filled by one ``children``
-query (a machine replay) the first time a walker there draws a child
-move, so each node is asked at most once and no node the walk never
-reaches is asked at all.  Either way the walk at depth i runs on the
-truncation S_i of the tree it is given, with no tree object for S_i:
+masked to its low 2j bits (see ``_advance``).  Its ``walk_batch`` walks
+the walkers sorted by their move counts, so the walkers still moving
+form one contiguous slice at every gather, and shuffles the finals at
+the end.
+``estimate_alpha`` walks all t repetitions of m samples of a depth
+together, in the fewest ``walk_batch`` calls of at most 2^15 walkers
+that hold whole repetitions (a wider repetition walks alone, in calls of
+at most 2^15), and splits each call's finals back into per-repetition
+root-hit counts (``_batched_root_hits``).  That one sampling path takes
+either walker.  On an oracle-backed tree the walker draws the same move
+counts and 2-bit codes, one ``rng.binomial`` call per batch and one
+lazily drawn code stream, and walks the samples one after another from
+the root, one Python lookup per move, over a table of the rows of S_i
+that grows as the walk finds nodes (``_GrownRows``).  A row's child
+columns are filled by one ``children`` query (a machine replay) the
+first time a walker there draws a child move, so each node is asked at
+most once and no node the walk never reaches is asked at all.  Either
+way the walk at depth i runs on the truncation S_i of the tree it is
+given, with no tree object for S_i:
 ``IndexedTree(tree, i)`` indexes only the nodes of depth <= i, and the
 grown table gives rows at depth i hold columns without asking the tree,
 so the child moves of depth-i nodes find no child and hold.
@@ -370,16 +372,19 @@ def _cut_codes(words: np.ndarray, bits: int) -> np.ndarray:
 # bytes a row (85 MB at the cap); past it the call raises SizeGuardError
 # rather than evict.
 _MAX_ROWS = 1 << 20
-# Move counts per ``_sorted_moves`` call of the scalar walk, and 64-bit
-# words per draw block of its 2-bit codes.  The walk reads a block as a
-# list of 2^12 small ints (32 KB); 2^12-word blocks, four times that,
-# ran within the host's noise of it (about 4% faster in-process).
-_BLOCK_SAMPLES = 1 << 12
+# 64-bit words per draw block of the scalar walk's 2-bit codes.  The walk
+# reads a block as a list of 2^12 small ints (32 KB); 2^12-word blocks,
+# four times that, ran within the host's noise of it (about 4% faster
+# in-process).
 _BLOCK_WORDS = 1 << 10
 
 
 class _GrownRows:
     """The rows of S_i that the scalar walk has found, for one ``estimate_alpha`` call.
+
+    It is the oracle-backed counterpart of ``IndexedTree``: ``root`` is
+    the root's row and ``walk_batch`` walks from it, so
+    ``_batched_root_hits`` takes either walker.
 
     Laid out like ``IndexedTree.flat_table`` pre-shifted for ``_advance``:
     ``table[4 k + c]`` is 4 times the row reached from row k by the Q move
@@ -395,9 +400,38 @@ class _GrownRows:
     reaches with a child move, and never about a node of depth i or below.
     """
 
+    root = 0
+
     def __init__(self, tree: BranchingTree, depth: int, planned_steps: int):
         self.tree, self.depth, self.planned_steps = tree, depth, planned_steps
         self.table = [0, 0, -1, -1]
+
+    def walk_batch(self, n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
+        """Final row offsets (int32) of ``n_walkers`` independent ``steps``-step lazy walks from the root.
+
+        As in ``IndexedTree.walk_batch``, each walk makes
+        k ~ Binomial(``steps``, 1/2) Q moves, all drawn by one
+        ``rng.binomial`` call.  The walks then read their moves from one
+        stream of 2-bit codes, the ``_cut_codes`` lanes of exactly
+        ceil(sum k / 4) full-range words, drawn lazily in blocks of at
+        most ``_BLOCK_WORDS``; each walk starts at the root and takes the
+        next k codes of the stream.  A generator's full-range uint64
+        words do not depend on how they are split into calls, so neither
+        do the walks.  The walks run one after another on their own
+        draws, so the finals are independent in draw order, with no sort
+        and no shuffle.  Memory is the listed move counts, the finals and
+        one block of codes, whatever T is.
+        """
+        moves = rng.binomial(steps, 0.5, size=n_walkers).tolist()
+        words = -(-sum(moves) // 4)
+        sizes = (min(_BLOCK_WORDS, words - w) for w in range(0, words, _BLOCK_WORDS))
+        stream = itertools.chain.from_iterable(
+            _cut_codes(rng.integers(0, 1 << 64, size=size, dtype=np.uint64), 2).tolist()
+            for size in sizes
+        )
+        walk = self.walk
+        finals = (walk(itertools.islice(stream, k)) for k in moves)
+        return np.fromiter(finals, dtype=np.int32, count=n_walkers)
 
     def walk(self, codes: Iterable[int]) -> int:
         """Offset of the row reached from the root by one Q move per 2-bit code."""
@@ -438,37 +472,6 @@ class _GrownRows:
             table += (at, at, hold, hold)
 
 
-def _grown_root_hits(
-    rows: _GrownRows, m: int, t: int, steps: int, rng: np.random.Generator
-) -> Iterator[int]:
-    """Root hits of each of ``t`` repetitions of ``m`` walks of ``steps`` lazy steps, in order.
-
-    As in ``walk_batch``, each walk makes k ~ Binomial(``steps``, 1/2) Q
-    moves, drawn sorted by ``_sorted_moves`` for at most
-    ``_BLOCK_SAMPLES`` walks at a time.  Each such chunk reads its moves
-    from one stream of 2-bit codes, the ``_cut_codes`` lanes of exactly
-    ceil(sum k / 4) full-range words, drawn lazily in blocks of at most
-    ``_BLOCK_WORDS``; each walk starts at the root and takes the next k
-    codes of the stream.  A generator's full-range uint64 words do not
-    depend on how they are split into calls, so neither do the walks.
-    Memory is one block and one chunk of counts, whatever m and T are.
-    """
-    walk = rows.walk
-    for _ in range(t):
-        hits = 0
-        for first in range(0, m, _BLOCK_SAMPLES):
-            moves = _sorted_moves(min(_BLOCK_SAMPLES, m - first), steps, rng).tolist()
-            words = -(-sum(moves) // 4)
-            sizes = (min(_BLOCK_WORDS, words - w) for w in range(0, words, _BLOCK_WORDS))
-            stream = itertools.chain.from_iterable(
-                _cut_codes(rng.integers(0, 1 << 64, size=size, dtype=np.uint64), 2).tolist()
-                for size in sizes
-            )
-            for k in moves:
-                hits += walk(itertools.islice(stream, k)) == 0
-        yield hits
-
-
 def sample_size_for(height: int, zeta: float) -> int:
     """Draws per repetition for a (1 +- zeta) root-mass estimate at 3/4 confidence."""
     square = zeta * zeta
@@ -481,20 +484,23 @@ def repetitions_for(delta: float) -> int:
 
 
 def _batched_root_hits(
-    indexed: IndexedTree, m: int, t: int, steps: int, rng: np.random.Generator
+    walker: IndexedTree | _GrownRows, m: int, t: int, steps: int, rng: np.random.Generator
 ) -> Iterator[int]:
-    """Root hits of each of ``t`` repetitions of ``m`` walks, in order.
+    """Root hits of each of ``t`` repetitions of ``m`` walks of ``walker``, in order.
 
-    The m t walkers go out in the fewest ``walk_batch`` calls of at most
-    ``_BATCH_WALKERS`` walkers each that hold whole repetitions, sized
-    evenly (their repetition counts differ by at most one).  Each call's
-    finals are read as one row of m walkers per repetition.  Walkers are
-    independent and ``walk_batch`` returns them in uniformly random
-    order, so the rows are independent repetitions, as one call per
-    repetition would give.  A repetition wider than the cap walks alone,
-    in calls of at most the cap whose hits are added up, so memory stays
-    bounded whatever m is.  Batches are walked lazily, as their counts
-    are asked for.
+    ``walker`` is an ``IndexedTree`` or a ``_GrownRows``; this is the one
+    sampling path of both.  The m t walkers go out in the fewest
+    ``walker.walk_batch`` calls of at most ``_BATCH_WALKERS`` walkers
+    each that hold whole repetitions, sized evenly (their repetition
+    counts differ by at most one).  Each call's finals are read as one
+    row of m walkers per repetition.  Walkers are independent, and
+    ``walk_batch`` returns them exchangeable: in uniformly random order
+    from ``IndexedTree``, and i.i.d. in draw order from the scalar
+    ``_GrownRows``.  So the rows are independent repetitions, as one
+    call per repetition would give.  A repetition wider than the cap
+    walks alone, in calls of at most the cap whose hits are added up, so
+    memory stays bounded whatever m is.  Batches are walked lazily, as
+    their counts are asked for.
     """
     calls = -(-t // max(1, _BATCH_WALKERS // m))
     base, extra = divmod(t, calls)
@@ -502,8 +508,8 @@ def _batched_root_hits(
         hits = 0
         for first in range(0, m, _BATCH_WALKERS):
             width = min(_BATCH_WALKERS, m - first)
-            finals = indexed.walk_batch(reps * width, steps, rng)
-            hits += np.count_nonzero(finals.reshape(reps, width) == indexed.root, axis=1)
+            finals = walker.walk_batch(reps * width, steps, rng)
+            hits += np.count_nonzero(finals.reshape(reps, width) == walker.root, axis=1)
         yield from hits.tolist()
 
 
@@ -561,17 +567,15 @@ def estimate_alpha(
 
     Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
     steps from the root, as Binomial(T, 1/2) moves of the non-lazy
-    kernel: vectorized on explicit trees, one scalar move at a time on
-    oracle-backed ones.  There each chunk of at most ``_BLOCK_SAMPLES``
-    samples (2^12) draws its move counts as ``walk_batch`` does, and
-    every sample walks from the root on the next k 2-bit codes of one
-    stream per chunk, drawn in blocks of at most ``_BLOCK_WORDS`` words
-    (2^10).  The walk moves over a table of the rows of S_i that lives
-    for the call and grows as the walk finds nodes, asking
-    ``tree.children`` once per node it expands.  A call whose table
-    would pass ``_MAX_ROWS`` rows (2^20) raises SizeGuardError, and one
-    whose T, m or t is no finite count below 2^63 raises it before it
-    walks.
+    kernel.  The walker is ``IndexedTree(tree, height)`` on an explicit
+    tree, vectorized, and otherwise ``_GrownRows``, one scalar move at a
+    time over a table of the rows of S_i that lives for the call and
+    grows as the walk finds nodes, asking ``tree.children`` once per
+    node it expands.  Both go through the one sampling path,
+    ``_batched_root_hits``, in ``walk_batch`` calls of at most
+    ``_BATCH_WALKERS`` walkers (2^15).  A call whose row table would pass
+    ``_MAX_ROWS`` rows (2^20) raises SizeGuardError, and one whose T, m
+    or t is no finite count below 2^63 raises it before it walks.
 
     Guarantee, at C >= 2.  Let p = P^T(r, r) be one sample's chance to
     end at the root r, and pi = pi_{S_i}(r) = alpha 2^i >= 1/(i+1).  The
@@ -603,9 +607,10 @@ def estimate_alpha(
     steps = burn_in_steps(height, zeta / (1 + zeta), burn_const)
     m, t = sample_size_for(height, zeta), repetitions_for(delta)
     if isinstance(tree, ExplicitTree):
-        hits = _batched_root_hits(IndexedTree(tree, height), m, t, steps, rng)
+        walker = IndexedTree(tree, height)
     else:
-        hits = _grown_root_hits(_GrownRows(tree, height, m * t * steps), m, t, steps, rng)
+        walker = _GrownRows(tree, height, m * t * steps)
+    hits = _batched_root_hits(walker, m, t, steps, rng)
     return _alpha_from_hits(height, zeta, delta, lambda m: next(hits), steps_per_sample=steps)
 
 

@@ -239,7 +239,12 @@ def _fits(value, hint: type) -> bool:
 
 
 def run_bench(suite: str, out: str) -> dict:
-    """Execute a manifest of runs and write one JSON record per line."""
+    """Execute a manifest of runs and write one JSON record per line.
+
+    Every entry is checked (command, argument binding and types) and
+    ``out`` is opened before the first run, so a bad suite or an
+    unwritable output fails before any run starts.
+    """
     t0 = time.perf_counter()
     suite_path = Path(suite)
     try:
@@ -248,7 +253,7 @@ def run_bench(suite: str, out: str) -> dict:
         raise ParseError(f"{suite}: cannot read manifest: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
         raise ParseError(f"{suite}: manifest must be an object with a 'runs' list")
-    records = []
+    runs = []
     for idx, entry in enumerate(manifest["runs"]):
         if not isinstance(entry, dict) or "command" not in entry:
             raise ParseError(f"{suite}: run {idx} must be an object with a 'command'")
@@ -269,15 +274,15 @@ def run_bench(suite: str, out: str) -> dict:
                 )
         if "input" in kwargs and not Path(kwargs["input"]).is_absolute():
             kwargs["input"] = str(suite_path.parent / kwargs["input"])
-        records.append(runner(**kwargs))
+        runs.append((runner, kwargs))
     with open(out, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for runner, kwargs in runs:
+            fh.write(json.dumps(runner(**kwargs), sort_keys=True) + "\n")
     return {
         "command": "bench",
         "suite": str(suite),
         "out": str(out),
-        "runs": len(records),
+        "runs": len(runs),
         "wall_time_s": time.perf_counter() - t0,
     }
 

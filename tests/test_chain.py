@@ -478,13 +478,16 @@ def test_estimate_alpha_scalar_chain_on_single_node_instance(rng):
 
 
 def _spy_on_estimate_alpha(monkeypatch):
-    """Record each walk_batch width and each (m, hits) that draw_hits returns."""
+    """Record each walk_batch width, of either walker, and each (m, hits) that draw_hits returns."""
     widths, draws = [], []
-    walk, alpha = IndexedTree.walk_batch, chain._alpha_from_hits
+    alpha = chain._alpha_from_hits
 
-    def spied_walk(self, n_walkers, steps, rng):
-        widths.append(n_walkers)
-        return walk(self, n_walkers, steps, rng)
+    def spied_walk(walk):
+        def spied(self, n_walkers, steps, rng):
+            widths.append(n_walkers)
+            return walk(self, n_walkers, steps, rng)
+
+        return spied
 
     def spied_alpha(height, zeta, delta, draw_hits, steps_per_sample):
         def recorded(m):
@@ -494,7 +497,8 @@ def _spy_on_estimate_alpha(monkeypatch):
 
         return alpha(height, zeta, delta, recorded, steps_per_sample)
 
-    monkeypatch.setattr(IndexedTree, "walk_batch", spied_walk)
+    for walker in (IndexedTree, chain._GrownRows):
+        monkeypatch.setattr(walker, "walk_batch", spied_walk(walker.walk_batch))
     monkeypatch.setattr(chain, "_alpha_from_hits", spied_alpha)
     return widths, draws
 
@@ -502,7 +506,11 @@ def _spy_on_estimate_alpha(monkeypatch):
 @pytest.mark.parametrize("cap", [chain._BATCH_WALKERS, 5000, 1000])
 @pytest.mark.parametrize(
     "tree",
-    [full_binary_tree(3), ExplicitTree([(), (0,), (1,), (1, 0), (1, 0, 1), (1, 0, 1, 1)])],
+    [
+        full_binary_tree(3),
+        ExplicitTree([(), (0,), (1,), (1, 0), (1, 0, 1), (1, 0, 1, 1)]),
+        pytest.param(ORACLE_TREES["mono"], id="mono"),
+    ],
     ids=lambda t: f"height{t.height}",
 )
 def test_estimate_alpha_walks_whole_repetitions_per_batch(tree, cap, monkeypatch, rng):
@@ -557,23 +565,23 @@ def _assert_root_hits_follow_the_exact_t_step_law(tree, monkeypatch) -> list[int
     return widths
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [
-        *(pytest.param(tree, id=_law_tree_id(tree)) for tree in LAW_TREES),
-        *(pytest.param(tree, id=name) for name, tree in ORACLE_TREES.items()),
-    ],
-)
+LAW_AND_ORACLE_TREES = [
+    *(pytest.param(tree, id=_law_tree_id(tree)) for tree in LAW_TREES),
+    *(pytest.param(tree, id=name) for name, tree in ORACLE_TREES.items()),
+]
+
+
+@pytest.mark.parametrize("tree", LAW_AND_ORACLE_TREES)
 def test_batched_root_hits_follow_the_exact_t_step_law(tree, monkeypatch):
     # Walks of T = 1, 3, 5 and 9 steps on the explicit trees end 39-78
     # sigma away from the stationary root mass, so this checks the law of
     # exactly T steps, leftover steps included, not just the limit.  The
-    # oracle-backed trees take the scalar walk, checked against the exact
-    # law of their materialized copy.
+    # oracle-backed trees take the scalar walker, checked against the
+    # exact law of their materialized copy.
     _assert_root_hits_follow_the_exact_t_step_law(tree, monkeypatch)
 
 
-@pytest.mark.parametrize("tree", LAW_TREES, ids=_law_tree_id)
+@pytest.mark.parametrize("tree", LAW_AND_ORACLE_TREES)
 def test_repetitions_split_across_walk_batch_calls_follow_the_exact_t_step_law(tree, monkeypatch):
     # Every repetition here has m >= 800 walkers, so a cap of 300 walks
     # each one in several calls and adds up their hits.
@@ -582,19 +590,24 @@ def test_repetitions_split_across_walk_batch_calls_follow_the_exact_t_step_law(t
     assert max(widths) == 300 and len(widths) > repetitions_for(0.1)
 
 
-def test_a_wide_repetition_walks_in_bounded_memory():
-    # Two nodes at a tiny burn-in: m grows 28-fold between the two runs,
-    # and one walk_batch call per repetition would grow the peak with it.
-    tree = ExplicitTree([(), (0,)])
-    estimate_alpha(tree, 1, 0.05, 0.9, 0.001, rng=np.random.default_rng(1))
-    peaks = []
-    for zeta in (0.01, 0.003):
-        tracemalloc.start()
-        est = estimate_alpha(tree, 1, zeta, 0.9, 0.001, rng=np.random.default_rng(1))
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-        assert est.samples > chain._BATCH_WALKERS
-    assert peaks[1] <= 1.25 * peaks[0], peaks
+def test_a_wide_repetition_walks_in_bounded_memory(monkeypatch):
+    # Two nodes at a tiny burn-in, explicit and oracle-backed: m grows
+    # 11-fold between the two runs, and one walk_batch call per
+    # repetition would grow the peak with it.
+    widths, _ = _spy_on_estimate_alpha(monkeypatch)
+    for tree in (ExplicitTree([(), (0,)]), build_branching_tree(dnf_instance(DnfFormula(1, ((),))))):
+        estimate_alpha(tree, 1, 0.05, 0.9, 0.001, rng=np.random.default_rng(1))
+        peaks = []
+        for zeta in (0.01, 0.003):
+            widths.clear()
+            tracemalloc.start()
+            est = estimate_alpha(tree, 1, zeta, 0.9, 0.001, rng=np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert est.samples > chain._BATCH_WALKERS
+            assert max(widths) == chain._BATCH_WALKERS
+            assert sum(widths) == est.samples * est.repetitions
+        assert peaks[1] <= 1.25 * peaks[0], (tree, peaks)
 
 
 # --- truncation is a depth argument
@@ -701,11 +714,15 @@ def _random_instance_trees(seed: int, per_kind: int) -> list[InstanceTree]:
 def _flat_table_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate:
     """The estimate of walking ``IndexedTree(tree, i).flat_table`` on the scalar walk's draws.
 
-    Each chunk of at most ``_BLOCK_SAMPLES`` samples draws its sorted
-    Binomial(T, 1/2) move counts, then all of its 2-bit codes in one call,
-    and the samples read the codes in turn.  Code c moves as ``lazy_step``
-    does on [c/8, (c+1)/8), so this is the ``lazy_step`` walk with its
-    holds skipped (see ``test_grown_rows_move_as_lazy_step_at_the_interval_ends``).
+    The m t samples go out in the batches of at most ``_BATCH_WALKERS``
+    samples that hold whole repetitions, as ``_batched_root_hits`` sizes
+    them.  Each batch draws the Binomial(T, 1/2) move counts of all its
+    samples in one call, then all of its 2-bit codes in one call, and
+    its samples read the codes in turn, in draw order, m to a
+    repetition (or a repetition's share of the cap when m is wider).
+    Code c moves as ``lazy_step`` does on [c/8, (c+1)/8), so this is the
+    ``lazy_step`` walk with its holds skipped (see
+    ``test_grown_rows_move_as_lazy_step_at_the_interval_ends``).
     """
     indexed = IndexedTree(tree, i)
     table = indexed.flat_table.tolist()
@@ -713,19 +730,22 @@ def _flat_table_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate
     steps = burn_in_steps(i, zeta / (1 + zeta), burn_const)
     # Lanes come out in memory order: least significant first on little-endian hosts.
     lanes = range(4) if sys.byteorder == "little" else range(3, -1, -1)
+    cap = chain._BATCH_WALKERS
+    calls = -(-t // max(1, cap // m))
     fractions = []
-    for _ in range(t):
-        hits = 0
-        for first in range(0, m, chain._BLOCK_SAMPLES):
-            moves = np.sort(rng.binomial(steps, 0.5, size=min(chain._BLOCK_SAMPLES, m - first)))
+    for call in range(calls):
+        hits = [0] * (t // calls + (call < t % calls))
+        for first in range(0, m, cap):
+            width = min(cap, m - first)
+            moves = rng.binomial(steps, 0.5, size=len(hits) * width)
             words = rng.integers(0, 2**64, size=-(-int(moves.sum()) // 4), dtype=np.uint64)
             codes = iter([(int(w) >> 16 * lane) & 3 for w in words for lane in lanes])
-            for k in moves.tolist():
+            for sample, k in enumerate(moves.tolist()):
                 node = indexed.root
                 for _ in range(k):
                     node = table[4 * node + next(codes)]
-                hits += node == indexed.root
-        fractions.append(hits / m)
+                hits[sample // width] += node == indexed.root
+        fractions += [h / m for h in hits]
     p_hat = float(np.median(fractions))
     degenerate = p_hat <= 0.0
     if degenerate:
@@ -742,9 +762,9 @@ def _flat_table_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate
 )
 def test_grown_walk_gives_the_lazy_step_estimate(tree, monkeypatch):
     burn_const = 0.05
-    # A cap of 7 samples splits each repetition into several chunks of counts.
-    for samples in (chain._BLOCK_SAMPLES, 7):
-        monkeypatch.setattr(chain, "_BLOCK_SAMPLES", samples)
+    # A cap of 7 walkers splits each repetition into several walk_batch calls.
+    for cap in (chain._BATCH_WALKERS, 7):
+        monkeypatch.setattr(chain, "_BATCH_WALKERS", cap)
         for i in range(1, tree.height + 1):
             walked = estimate_alpha(tree, i, 0.5, 0.5, burn_const, rng=np.random.default_rng(i))
             reference = _flat_table_estimate(tree, i, 0.5, 0.5, burn_const, np.random.default_rng(i))
@@ -775,10 +795,10 @@ class _SpyRng:
 def test_uniform_blocks_of_any_size_give_the_same_walk(tree, monkeypatch):
     zeta, delta, burn_const = 0.5, 0.5, 0.05
     hits, default_cap = [], chain._BLOCK_WORDS
-    grown = chain._grown_root_hits
+    batched = chain._batched_root_hits
 
     def recorded(*args):
-        for count in grown(*args):
+        for count in batched(*args):
             hits.append(count)
             yield count
 
@@ -790,7 +810,7 @@ def test_uniform_blocks_of_any_size_give_the_same_walk(tree, monkeypatch):
         walked.append(len(codes))
         return walk(self, codes)
 
-    monkeypatch.setattr(chain, "_grown_root_hits", recorded)
+    monkeypatch.setattr(chain, "_batched_root_hits", recorded)
     monkeypatch.setattr(chain._GrownRows, "walk", counted)
     for i in range(1, tree.height + 1):
         spy = _SpyRng(i)

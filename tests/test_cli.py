@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -102,7 +103,22 @@ def test_directory_as_input_exits_two(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
 
 
-def test_bench_out_directory_exits_two(capsys, tmp_path, tree_file):
+def _spy_on_runner(monkeypatch, command: str) -> list:
+    """Count the bench runs of ``command``; ``functools.wraps`` keeps its signature and type hints."""
+    calls = []
+    runner = cli._RUNNERS[command]
+
+    @functools.wraps(runner)
+    def spied(**kwargs):
+        calls.append(kwargs)
+        return runner(**kwargs)
+
+    monkeypatch.setitem(cli._RUNNERS, command, spied)
+    return calls
+
+
+def test_bench_out_directory_exits_two(capsys, tmp_path, tree_file, monkeypatch):
+    calls = _spy_on_runner(monkeypatch, "estimate")
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"runs": [
         {"command": "estimate", "problem": "tree", "input": str(tree_file),
@@ -112,6 +128,21 @@ def test_bench_out_directory_exits_two(capsys, tmp_path, tree_file):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    # The output is opened before the first run.
+    assert calls == []
+
+
+def test_bench_ill_typed_last_entry_exits_two_before_any_run(capsys, tmp_path, tree_file, monkeypatch):
+    calls = _spy_on_runner(monkeypatch, "estimate")
+    run = {"command": "estimate", "problem": "tree", "input": str(tree_file),
+           "xi": 0.5, "delta": 0.5, "seed": 1, "transport": "exact"}
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"runs": [run, dict(run, xi="x")]}), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    code = main(["bench", "--suite", str(suite), "--out", str(out)])
+    assert code == 2
+    assert "run 1: parameter 'xi'" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_estimate_bad_xi_exits_two(capsys, tree_file):

@@ -143,10 +143,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 8.0,
-        "estimate": 2.326516929886724,
+        "estimate": 2.298498674775624,
         "estimate_clamped": 2,
-        "fraction": 0.2908146162358405,
-        "fraction_clamped": 0.2908146162358405,
+        "fraction": 0.287312334346953,
+        "fraction_clamped": 0.287312334346953,
         "height": 3,
         "mode": "telescoping",
         "params": {
@@ -165,10 +165,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 8.0,
-        "estimate": 2.1184525279487403,
+        "estimate": 2.2657974834801955,
         "estimate_clamped": 2,
-        "fraction": 0.26480656599359254,
-        "fraction_clamped": 0.26480656599359254,
+        "fraction": 0.28322468543502444,
+        "fraction_clamped": 0.28322468543502444,
         "height": 3,
         "mode": "telescoping",
         "params": {
@@ -187,10 +187,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 8.0,
-        "estimate": 3.4636855951136027,
+        "estimate": 3.337558347875131,
         "estimate_clamped": 3,
-        "fraction": 0.43296069938920034,
-        "fraction_clamped": 0.43296069938920034,
+        "fraction": 0.41719479348439137,
+        "fraction_clamped": 0.41719479348439137,
         "height": 3,
         "mode": "telescoping",
         "params": {
