@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedFamilyError
-from .estimator import EstimateReport, EstimatorConfig, estimate_size
+from .chain import BURN_CONST
+from .estimator import TRANSPORTS, EstimateReport, EstimatorConfig, estimate_size
 from .machine import build_branching_tree
 from .problems import CnfFormula, DnfFormula, MonotoneCircuit, cnf_complement, dnf_instance, monotone_instance
 
@@ -61,8 +62,8 @@ def capp(
     epsilon: float = DEFAULT_EPSILON,
     delta: float = 0.1,
     seed: int = 0,
-    burn_const: float = 2.0,
-    transport: str = "chain",
+    burn_const: float = BURN_CONST,
+    transport: str = TRANSPORTS[0],
 ) -> CappResult:
     """Estimate Pr over uniform inputs that the circuit accepts, within epsilon.
 
@@ -91,8 +92,8 @@ def gap_csat(
     rho: float,
     delta: float = 0.1,
     seed: int = 0,
-    burn_const: float = 2.0,
-    transport: str = "chain",
+    burn_const: float = BURN_CONST,
+    transport: str = TRANSPORTS[0],
 ) -> GapVerdict:
     """Decide the promise problem: zero solutions, or more than rho * 2^n.
 

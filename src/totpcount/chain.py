@@ -83,7 +83,12 @@ class AlphaEstimate:
     degenerate: bool = False
 
 
-def burn_in_steps(height: int, root_deviation: float, constant: float = 2.0) -> int:
+# The burn-in multiplier C that ``burn_in_steps`` derives; every entry point
+# (``EstimatorConfig``, ``capp``, ``ras``, the CLI) defaults to it.
+BURN_CONST = 2.0
+
+
+def burn_in_steps(height: int, root_deviation: float, constant: float = BURN_CONST) -> int:
     """Lazy steps T after which |P^T(r, r) / pi(r) - 1| <= eps = ``root_deviation`` at the root r.
 
     Derivation, for height n: the lazy walk is reversible with
@@ -548,7 +553,7 @@ def estimate_alpha(
     height: int,
     zeta: float,
     delta: float,
-    burn_const: float = 2.0,
+    burn_const: float = BURN_CONST,
     rng: np.random.Generator | None = None,
 ) -> AlphaEstimate:
     """Estimate the stationary law's normalizing factor on ``tree`` cut at depth ``height``.

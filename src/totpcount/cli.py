@@ -4,6 +4,11 @@ Every command prints one JSON object to stdout (machine-readable) and a
 one-line human summary to stderr.  Exit codes: 0 success, 2 parse or
 parameter errors, 3 internal guard violations.  Seeds are mandatory for
 randomized commands so every run is reproducible.
+
+Each command is declared once, by its runner's signature: every
+parameter is a ``--name`` option (``burn_const`` is ``--burn-const``)
+and a bench manifest key of the same name, typed, defaulted and required
+as the signature says, with the choices of its ``Literal`` hint.
 """
 from __future__ import annotations
 
@@ -15,8 +20,10 @@ import sys
 import time
 import typing
 from pathlib import Path
+from typing import Literal
 
 from .capp import capp, gap_csat
+from .chain import BURN_CONST
 from .errors import (
     MalformedInstanceError,
     ParseError,
@@ -43,9 +50,26 @@ from .problems import (
 )
 from .trees import load_tree
 
-INSTANCE_PROBLEMS = ("is", "dnf", "mono")
-TREE_PROBLEMS = INSTANCE_PROBLEMS + ("tree",)
-CIRCUIT_PROBLEMS = ("dnf", "cnf", "mono")
+TreeProblem = Literal["is", "dnf", "mono", "tree"]
+CircuitFamily = Literal["dnf", "cnf", "mono"]
+# capp and gapcsat also take the tree-only families, and refuse them by name.
+CircuitProblem = Literal[CircuitFamily, "is", "tree"]
+Transport = Literal[TRANSPORTS]
+
+# Help text by parameter name; a name that is missing gets none.
+_HELP = {
+    "input": "instance file",
+    "xi": "additive error target",
+    "delta": "failure probability",
+    "seed": "master seed",
+    "burn_const": "burn-in constant of the mixing bound (default %(default)s)",
+    "workers": "accepted for compatibility and must be >= 1; depths always run "
+               "serially, so the result is the same at any value",
+    "transport": "sampling transport: walk the chain, or draw from the exact "
+                 "stationary law (validation shortcut)",
+    "suite": "JSON manifest path",
+    "out": "JSON-lines output path",
+}
 
 
 def _load_tree_source(problem: str, path: str):
@@ -69,7 +93,7 @@ def _load_circuit_source(problem: str, path: str):
         return load_circuit(path)
     raise UnsupportedFamilyError(
         f"family {problem!r} has no acceptance-probability solver; "
-        f"supported: {', '.join(CIRCUIT_PROBLEMS)}"
+        f"supported: {', '.join(typing.get_args(CircuitFamily))}"
     )
 
 
@@ -103,123 +127,100 @@ def _run_params(
             "workers": workers, "transport": transport}
 
 
+def _record(command: str, problem: str, input: str, params: dict, wall_time_s: float,
+            **fields) -> dict:
+    """One runner's record: the envelope every command shares around its own ``fields``."""
+    return {"command": command, "problem": problem, "input": str(input), "params": params,
+            **fields, "wall_time_s": wall_time_s}
+
+
 def run_estimate(
-    problem: str,
+    problem: TreeProblem,
     input: str,
     xi: float,
     delta: float,
     seed: int,
-    burn_const: float = 2.0,
+    burn_const: float = BURN_CONST,
     workers: int = 1,
-    transport: str = "chain",
+    transport: Transport = TRANSPORTS[0],
 ) -> dict:
+    """Additive-error size estimate."""
     params = _run_params(delta, seed, burn_const, workers, transport, xi=xi)
     tree = _load_tree_source(problem, input)
     report = estimate_size(tree, EstimatorConfig(xi, delta, seed, burn_const, transport))
-    return {
-        "command": "estimate",
-        "problem": problem,
-        "input": str(input),
-        "params": params,
-        **_report_fields(report),
-        "wall_time_s": report.wall_time_s,
-    }
+    return _record("estimate", problem, input, params, report.wall_time_s,
+                   **_report_fields(report))
 
 
-def run_exact(problem: str, input: str, threshold: int) -> dict:
+def run_exact(problem: TreeProblem, input: str, threshold: int) -> dict:
+    """Exact count up to a threshold."""
     t0 = time.perf_counter()
     tree = _load_tree_source(problem, input)
     outcome = count_up_to(tree, threshold)
-    record = {
-        "command": "exact",
-        "problem": problem,
-        "input": str(input),
-        "params": {"threshold": threshold},
-        "nodes_visited": outcome.nodes_visited,
-        "wall_time_s": time.perf_counter() - t0,
-    }
     if isinstance(outcome, ExactCount):
-        record["outcome"] = "exact"
-        record["value"] = outcome.value
+        answer = {"outcome": "exact", "value": outcome.value}
     else:
-        record["outcome"] = "exceeds"
-    return record
+        answer = {"outcome": "exceeds"}
+    return _record("exact", problem, input, {"threshold": threshold},
+                   time.perf_counter() - t0, nodes_visited=outcome.nodes_visited, **answer)
 
 
 def run_ras(
-    problem: str,
+    problem: TreeProblem,
     input: str,
     k: float,
     beta: float,
     delta: float,
     seed: int,
-    burn_const: float = 2.0,
+    burn_const: float = BURN_CONST,
     workers: int = 1,
-    transport: str = "chain",
+    transport: Transport = TRANSPORTS[0],
 ) -> dict:
+    """Relative (1 +- 1/k) approximation scheme."""
     params = _run_params(delta, seed, burn_const, workers, transport, k=k, beta=beta)
     tree = _load_tree_source(problem, input)
     report = ras(tree, k, beta, delta, seed, burn_const, transport)
-    return {
-        "command": "ras",
-        "problem": problem,
-        "input": str(input),
-        "params": params,
-        "relative_error_bound": 1.0 / k,
-        **_report_fields(report),
-        "wall_time_s": report.wall_time_s,
-    }
+    return _record("ras", problem, input, params, report.wall_time_s,
+                   relative_error_bound=1.0 / k, **_report_fields(report))
 
 
 def run_capp(
-    problem: str,
+    problem: CircuitProblem,
     input: str,
     epsilon: float,
     delta: float,
     seed: int,
-    burn_const: float = 2.0,
+    burn_const: float = BURN_CONST,
     workers: int = 1,
-    transport: str = "chain",
+    transport: Transport = TRANSPORTS[0],
 ) -> dict:
+    """Circuit acceptance probability."""
     params = _run_params(delta, seed, burn_const, workers, transport, epsilon=epsilon)
     circuit = _load_circuit_source(problem, input)
     result = capp(circuit, epsilon, delta, seed, burn_const, transport)
-    return {
-        "command": "capp",
-        "problem": problem,
-        "input": str(input),
-        "params": params,
-        "p_hat": result.p_hat,
-        "route": result.route,
-        "steps": result.report.total_chain_steps,
-        "samples": result.report.total_samples,
-        "wall_time_s": result.report.wall_time_s,
-    }
+    return _record("capp", problem, input, params, result.report.wall_time_s,
+                   p_hat=result.p_hat, route=result.route,
+                   steps=result.report.total_chain_steps, samples=result.report.total_samples)
 
 
 def run_gapcsat(
-    problem: str,
+    problem: CircuitProblem,
     input: str,
     rho: float,
     delta: float,
     seed: int,
-    burn_const: float = 2.0,
+    burn_const: float = BURN_CONST,
     workers: int = 1,
-    transport: str = "chain",
+    transport: Transport = TRANSPORTS[0],
 ) -> dict:
+    """Gap satisfiability under the promise."""
     t0 = time.perf_counter()
     params = _run_params(delta, seed, burn_const, workers, transport, rho=rho)
     circuit = _load_circuit_source(problem, input)
     verdict = gap_csat(circuit, rho, delta, seed, burn_const, transport)
-    return {
-        "command": "gapcsat",
-        "problem": problem,
-        "input": str(input),
-        "params": params,
-        "verdict": "satisfiable" if verdict.satisfiable else "unsatisfiable",
-        "p_hat": verdict.p_hat,
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    return _record("gapcsat", problem, input, params, time.perf_counter() - t0,
+                   verdict="satisfiable" if verdict.satisfiable else "unsatisfiable",
+                   p_hat=verdict.p_hat)
 
 
 _RUNNERS = {
@@ -231,19 +232,45 @@ _RUNNERS = {
 }
 
 
-def _fits(value, hint: type) -> bool:
-    """Whether a manifest value has the runner's type: an int passes for a float, a bool never."""
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+def _options(runner) -> list[tuple[str, object, object]]:
+    """(name, type hint, default) of each parameter of ``runner``, in signature order."""
+    hints = typing.get_type_hints(runner)
+    return [(p.name, hints[p.name], p.default)
+            for p in inspect.signature(runner).parameters.values()]
+
+
+def _choices(hint) -> tuple | None:
+    return typing.get_args(hint) if typing.get_origin(hint) is Literal else None
+
+
+def _parsed(value, hint):
+    """A manifest ``value`` as its option would pass it to the runner.
+
+    A choice must be one of the hint's; an int passes for a float and
+    becomes one; a bool fits only a bool.  Raises TypeError otherwise.
+    """
+    choices = _choices(hint)
+    if choices is not None:
+        fits = value in choices
+    elif isinstance(value, bool):
+        fits = hint is bool
+    else:
+        fits = isinstance(value, (int, float) if hint is float else hint)
+    if not fits:
+        raise TypeError(value)
+    return float(value) if hint is float else value
 
 
 def run_bench(suite: str, out: str) -> dict:
-    """Execute a manifest of runs and write one JSON record per line.
+    """Run a manifest of commands, writing one JSON record per line.
 
-    Every entry is checked (command, argument binding and types) and
-    ``out`` is opened before the first run, so a bad suite or an
-    unwritable output fails before any run starts.
+    A run's keys are its runner's parameter names (``burn_const``, where
+    the command line says ``--burn-const``), and a run gives the same
+    record as the same command line.  Before the first run, every entry's
+    command and its parameter names, types and choices are checked as
+    the command line checks them, and ``out`` is opened, so a bad suite
+    or an unwritable output fails before any run starts.  Ranges (say
+    ``xi`` in (0, 1]) are checked only when their run starts.
     """
     t0 = time.perf_counter()
     suite_path = Path(suite)
@@ -266,12 +293,18 @@ def run_bench(suite: str, out: str) -> dict:
             inspect.signature(runner).bind(**kwargs)
         except TypeError as exc:
             raise ParseError(f"{suite}: run {idx}: bad arguments: {exc}") from exc
-        for name, hint in typing.get_type_hints(runner).items():
-            if name in kwargs and not _fits(kwargs[name], hint):
+        for name, hint, _ in _options(runner):
+            if name not in kwargs:
+                continue
+            try:
+                kwargs[name] = _parsed(kwargs[name], hint)
+            except (TypeError, OverflowError):
+                choices = _choices(hint)
+                expected = f"one of {choices}" if choices else hint.__name__
                 raise ParseError(
-                    f"{suite}: run {idx}: parameter {name!r} must be {hint.__name__}, "
+                    f"{suite}: run {idx}: parameter {name!r} must be {expected}, "
                     f"got {kwargs[name]!r}"
-                )
+                ) from None
         if "input" in kwargs and not Path(kwargs["input"]).is_absolute():
             kwargs["input"] = str(suite_path.parent / kwargs["input"])
         runs.append((runner, kwargs))
@@ -287,57 +320,31 @@ def run_bench(suite: str, out: str) -> dict:
     }
 
 
-def _add_common(sub, seed_required=True):
-    sub.add_argument("--input", required=True, help="instance file")
-    sub.add_argument("--delta", type=float, required=True, help="failure probability")
-    sub.add_argument("--seed", type=int, required=seed_required, help="master seed")
-    sub.add_argument("--burn-const", type=float, default=2.0, dest="burn_const",
-                     help="burn-in constant of the mixing bound (default 2)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="accepted for compatibility and must be >= 1; depths "
-                          "always run serially, so the result is the same at any value")
-    sub.add_argument("--transport", choices=TRANSPORTS, default="chain",
-                     help="sampling transport: walk the chain, or draw from the "
-                          "exact stationary law (validation shortcut)")
+def _commands() -> dict:
+    return {**_RUNNERS, "bench": run_bench}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per runner, with one option per parameter of its signature."""
     parser = argparse.ArgumentParser(
         prog="totpcount",
         description="Approximate counting via a lazy walk on self-reducibility trees.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("estimate", help="additive-error size estimate")
-    p.add_argument("--problem", choices=TREE_PROBLEMS, required=True)
-    p.add_argument("--xi", type=float, required=True, help="additive error target")
-    _add_common(p)
-
-    p = subs.add_parser("exact", help="exact count up to a threshold")
-    p.add_argument("--problem", choices=TREE_PROBLEMS, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=int, required=True)
-
-    p = subs.add_parser("ras", help="relative (1 +- 1/k) approximation scheme")
-    p.add_argument("--problem", choices=TREE_PROBLEMS, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    _add_common(p)
-
-    p = subs.add_parser("capp", help="circuit acceptance probability")
-    p.add_argument("--problem", choices=CIRCUIT_PROBLEMS + ("is", "tree"), required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    _add_common(p)
-
-    p = subs.add_parser("gapcsat", help="gap satisfiability under the promise")
-    p.add_argument("--problem", choices=CIRCUIT_PROBLEMS + ("is", "tree"), required=True)
-    p.add_argument("--rho", type=float, required=True)
-    _add_common(p)
-
-    p = subs.add_parser("bench", help="run a manifest of commands")
-    p.add_argument("--suite", required=True, help="JSON manifest path")
-    p.add_argument("--out", required=True, help="JSON-lines output path")
-
+    for command, runner in _commands().items():
+        # The first line of a runner's docstring is its command's help.
+        sub = subs.add_parser(command, help=(runner.__doc__ or "").partition("\n")[0])
+        for name, hint, default in _options(runner):
+            required = default is inspect.Parameter.empty
+            choices = _choices(hint)
+            sub.add_argument(
+                "--" + name.replace("_", "-"),
+                type=None if choices or hint is str else hint,
+                choices=choices,
+                required=required,
+                default=None if required else default,
+                help=_HELP.get(name),
+            )
     return parser
 
 
@@ -367,10 +374,8 @@ def _summary(record: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    kwargs = {k: v for k, v in vars(args).items() if k not in ("command",)}
-    runner = _RUNNERS.get(args.command, run_bench if args.command == "bench" else None)
+    kwargs = vars(build_parser().parse_args(argv))
+    runner = _commands()[kwargs.pop("command")]
     try:
         record = runner(**kwargs)
     except (ValueError, ParseError, UnsupportedFamilyError, OSError) as exc:

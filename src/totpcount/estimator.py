@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from . import chain as chain_mod
-from .chain import AlphaEstimate, guard_height
+from .chain import BURN_CONST, AlphaEstimate, guard_height
 from .errors import SizeGuardError
 from .machine import SelfReducibleInstance, build_branching_tree
 
@@ -58,6 +58,7 @@ from .machine import SelfReducibleInstance, build_branching_tree
 # patches ``estimator.materialize`` and ``estimator.truncate``.
 from .trees import DEFAULT_MATERIALIZE_GUARD, BranchingTree, materialize, truncate  # noqa: F401
 
+# The first transport is the default.
 TRANSPORTS = ("chain", "exact")
 
 
@@ -77,8 +78,8 @@ class EstimatorConfig:
     xi: float
     delta: float
     seed: int
-    burn_const: float = 2.0
-    transport: str = "chain"
+    burn_const: float = BURN_CONST
+    transport: str = TRANSPORTS[0]
 
     def __post_init__(self):
         if not 0 < self.xi <= 1:
@@ -279,8 +280,8 @@ def absolute_error_estimate(
     s: float,
     delta: float,
     seed: int,
-    burn_const: float = 2.0,
-    transport: str = "chain",
+    burn_const: float = BURN_CONST,
+    transport: str = TRANSPORTS[0],
 ) -> EstimateReport:
     """Estimate within absolute error 2^(height/2) * sqrt(s).
 
@@ -302,8 +303,8 @@ def ras(
     beta: float,
     delta: float,
     seed: int,
-    burn_const: float = 2.0,
-    transport: str = "chain",
+    burn_const: float = BURN_CONST,
+    transport: str = TRANSPORTS[0],
 ) -> EstimateReport:
     """Relative (1 +- 1/k) approximation in sub-exhaustive time.
 

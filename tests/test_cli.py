@@ -134,15 +134,20 @@ def test_bench_out_directory_exits_two(capsys, tmp_path, tree_file, monkeypatch)
 
 def test_bench_ill_typed_last_entry_exits_two_before_any_run(capsys, tmp_path, tree_file, monkeypatch):
     calls = _spy_on_runner(monkeypatch, "estimate")
+    exact_calls = _spy_on_runner(monkeypatch, "exact")
+    first = {"command": "exact", "problem": "tree", "input": str(tree_file), "threshold": 10}
     run = {"command": "estimate", "problem": "tree", "input": str(tree_file),
            "xi": 0.5, "delta": 0.5, "seed": 1, "transport": "exact"}
-    suite = tmp_path / "suite.json"
-    suite.write_text(json.dumps({"runs": [run, dict(run, xi="x")]}), encoding="utf-8")
-    out = tmp_path / "o.jsonl"
-    code = main(["bench", "--suite", str(suite), "--out", str(out)])
-    assert code == 2
-    assert "run 1: parameter 'xi'" in capsys.readouterr().err
-    assert calls == [] and not out.exists()
+    # A value of the wrong type, then a string that is not one of the choices.
+    for key, value in [("xi", "x"), ("problem", "tre"), ("transport", "exakt")]:
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"runs": [first, run, dict(run, **{key: value})]}),
+                         encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = main(["bench", "--suite", str(suite), "--out", str(out)])
+        assert code == 2
+        assert f"run 2: parameter {key!r}" in capsys.readouterr().err
+        assert calls == [] and exact_calls == [] and not out.exists()
 
 
 def test_estimate_bad_xi_exits_two(capsys, tree_file):
@@ -492,6 +497,8 @@ def test_bench_runner_type_error_propagates(tmp_path, monkeypatch):
         ("estimate", "workers", True),
         ("estimate", "problem", None),
         ("exact", "threshold", "5"),
+        ("estimate", "problem", "tre"),
+        ("estimate", "transport", "exakt"),
     ],
 )
 def test_bench_wrong_typed_value_is_a_parse_error(capsys, tmp_path, tree_file, command, key, value):
@@ -516,3 +523,34 @@ def test_bench_accepts_an_int_for_a_float(capsys, tmp_path, tree_file):
     code, record = run_cli(capsys, ["bench", "--suite", str(suite), "--out", str(out)])
     assert code == 0 and record["runs"] == 1
     assert json.loads(out.read_text())["params"]["burn_const"] == 2
+
+
+def test_cli_and_bench_give_the_same_record(capsys, tmp_path, tree_file, dnf_file):
+    """One run through ``main`` and through a one-entry manifest: equal records but for time."""
+    # Int-valued floats throughout: the command line parses "1" for a float
+    # option as 1.0, and a manifest's 1 must reach the record as 1.0 too.
+    exact = {"delta": 0.5, "seed": 1, "burn_const": 2, "transport": "exact"}
+    cases = [
+        ("estimate", {"problem": "tree", "input": str(tree_file), "xi": 1, **exact}),
+        ("exact", {"problem": "tree", "input": str(tree_file), "threshold": 5}),
+        ("ras", {"problem": "tree", "input": str(tree_file), "k": 2, "beta": 0.5, **exact}),
+        ("capp", {"problem": "dnf", "input": str(dnf_file), "epsilon": 0.5, **exact}),
+        ("gapcsat", {"problem": "dnf", "input": str(dnf_file), "rho": 1, **exact}),
+    ]
+
+    def canonical(record):
+        # JSON text, so that 1 and 1.0 differ.
+        return json.dumps({k: v for k, v in record.items() if k != "wall_time_s"}, sort_keys=True)
+
+    for command, kwargs in cases:
+        argv = [command]
+        for key, value in kwargs.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        code, from_cli = run_cli(capsys, argv)
+        assert code == 0, argv
+        suite = tmp_path / f"{command}.json"
+        suite.write_text(json.dumps({"runs": [{"command": command, **kwargs}]}), encoding="utf-8")
+        out = tmp_path / f"{command}.jsonl"
+        code, _ = run_cli(capsys, ["bench", "--suite", str(suite), "--out", str(out)])
+        assert code == 0, command
+        assert canonical(json.loads(out.read_text())) == canonical(from_cli)
