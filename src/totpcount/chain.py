@@ -619,9 +619,11 @@ def estimate_alpha(
     return _alpha_from_hits(height, zeta, delta, lambda m: next(hits), steps_per_sample=steps)
 
 
-def guard_height(height: int, limit: int = 500) -> None:
+# Heights above this are refused: the 2^height scale leaves double precision.
+MAX_HEIGHT = 500
+
+
+def guard_height(height: int) -> None:
     """Reject heights whose 2^height leaves double precision entirely."""
-    if height > limit:
-        raise SizeGuardError(
-            f"height {height} exceeds the floating-point guard of {limit}"
-        )
+    if height > MAX_HEIGHT:
+        raise SizeGuardError(f"height {height} exceeds the floating-point guard of {MAX_HEIGHT}")

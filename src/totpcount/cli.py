@@ -1,7 +1,11 @@
 """Command-line interface: estimate, exact, ras, capp, gapcsat, bench.
 
-Every command prints one JSON object to stdout (machine-readable) and a
-one-line human summary to stderr.  Exit codes: 0 success, 2 parse or
+Every command prints one JSON record to stdout and a one-line summary
+of it to stderr: ``<command>: k=v ...``, where each k is a key of the
+record and v its value (floats at ``.6g``), so the summary shows nothing
+the record lacks.  A record's ``wall_time_s`` is the whole command, from
+its runner's first line (parsing the input and building the adapter
+included) to the record.  Exit codes: 0 success, 2 parse or
 parameter errors, 3 internal guard violations.  Seeds are mandatory for
 randomized commands so every run is reproducible.
 
@@ -127,11 +131,13 @@ def _run_params(
             "workers": workers, "transport": transport}
 
 
-def _record(command: str, problem: str, input: str, params: dict, wall_time_s: float,
-            **fields) -> dict:
-    """One runner's record: the envelope every command shares around its own ``fields``."""
+def _record(command: str, problem: str, input: str, params: dict, t0: float, **fields) -> dict:
+    """One runner's record: the envelope every command shares around its own ``fields``.
+
+    ``wall_time_s`` is the whole call, timed from ``t0``, the runner's first line.
+    """
     return {"command": command, "problem": problem, "input": str(input), "params": params,
-            **fields, "wall_time_s": wall_time_s}
+            **fields, "wall_time_s": time.perf_counter() - t0}
 
 
 def run_estimate(
@@ -145,11 +151,11 @@ def run_estimate(
     transport: Transport = TRANSPORTS[0],
 ) -> dict:
     """Additive-error size estimate."""
+    t0 = time.perf_counter()
     params = _run_params(delta, seed, burn_const, workers, transport, xi=xi)
     tree = _load_tree_source(problem, input)
     report = estimate_size(tree, EstimatorConfig(xi, delta, seed, burn_const, transport))
-    return _record("estimate", problem, input, params, report.wall_time_s,
-                   **_report_fields(report))
+    return _record("estimate", problem, input, params, t0, **_report_fields(report))
 
 
 def run_exact(problem: TreeProblem, input: str, threshold: int) -> dict:
@@ -161,8 +167,8 @@ def run_exact(problem: TreeProblem, input: str, threshold: int) -> dict:
         answer = {"outcome": "exact", "value": outcome.value}
     else:
         answer = {"outcome": "exceeds"}
-    return _record("exact", problem, input, {"threshold": threshold},
-                   time.perf_counter() - t0, nodes_visited=outcome.nodes_visited, **answer)
+    return _record("exact", problem, input, {"threshold": threshold}, t0,
+                   nodes_visited=outcome.nodes_visited, **answer)
 
 
 def run_ras(
@@ -177,11 +183,12 @@ def run_ras(
     transport: Transport = TRANSPORTS[0],
 ) -> dict:
     """Relative (1 +- 1/k) approximation scheme."""
+    t0 = time.perf_counter()
     params = _run_params(delta, seed, burn_const, workers, transport, k=k, beta=beta)
     tree = _load_tree_source(problem, input)
     report = ras(tree, k, beta, delta, seed, burn_const, transport)
-    return _record("ras", problem, input, params, report.wall_time_s,
-                   relative_error_bound=1.0 / k, **_report_fields(report))
+    return _record("ras", problem, input, params, t0, relative_error_bound=1.0 / k,
+                   **_report_fields(report))
 
 
 def run_capp(
@@ -195,11 +202,11 @@ def run_capp(
     transport: Transport = TRANSPORTS[0],
 ) -> dict:
     """Circuit acceptance probability."""
+    t0 = time.perf_counter()
     params = _run_params(delta, seed, burn_const, workers, transport, epsilon=epsilon)
     circuit = _load_circuit_source(problem, input)
     result = capp(circuit, epsilon, delta, seed, burn_const, transport)
-    return _record("capp", problem, input, params, result.report.wall_time_s,
-                   p_hat=result.p_hat, route=result.route,
+    return _record("capp", problem, input, params, t0, p_hat=result.p_hat, route=result.route,
                    steps=result.report.total_chain_steps, samples=result.report.total_samples)
 
 
@@ -218,7 +225,7 @@ def run_gapcsat(
     params = _run_params(delta, seed, burn_const, workers, transport, rho=rho)
     circuit = _load_circuit_source(problem, input)
     verdict = gap_csat(circuit, rho, delta, seed, burn_const, transport)
-    return _record("gapcsat", problem, input, params, time.perf_counter() - t0,
+    return _record("gapcsat", problem, input, params, t0,
                    verdict="satisfiable" if verdict.satisfiable else "unsatisfiable",
                    p_hat=verdict.p_hat)
 
@@ -348,29 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The record keys each command's stderr summary shows, in order.
+_SUMMARY_KEYS = {
+    "estimate": ("estimate", "error_radius", "fraction_clamped", "steps"),
+    "exact": ("outcome", "value", "nodes_visited"),
+    "ras": ("estimate", "mode", "relative_error_bound"),
+    "capp": ("p_hat", "route"),
+    "gapcsat": ("verdict", "p_hat"),
+    "bench": ("runs", "out"),
+}
+
+
 def _summary(record: dict) -> str:
-    command = record.get("command")
-    if command == "estimate":
-        return (
-            f"estimate={record['estimate']:.6g} +- {record['error_radius']:.6g} "
-            f"(fraction={record['fraction_clamped']:.6g}, steps={record['steps']})"
-        )
-    if command == "exact":
-        if record["outcome"] == "exact":
-            return f"exact count: {record['value']} (visited {record['nodes_visited']})"
-        return f"count exceeds {record['params']['threshold']}"
-    if command == "ras":
-        return (
-            f"estimate={record['estimate']:.6g} mode={record['mode']} "
-            f"(relative error <= {record['relative_error_bound']:.4g} when estimated)"
-        )
-    if command == "capp":
-        return f"p_hat={record['p_hat']:.6g} via {record['route']} route"
-    if command == "gapcsat":
-        return f"verdict: {record['verdict']} (p_hat={record['p_hat']:.6g})"
-    if command == "bench":
-        return f"ran {record['runs']} benchmark entries -> {record['out']}"
-    return command or ""
+    """``<command>: k=v ...`` over the command's summary keys that the record has, floats at .6g."""
+    command = record["command"]
+    shown = (f"{k}={record[k]:.6g}" if isinstance(record[k], float) else f"{k}={record[k]}"
+             for k in _SUMMARY_KEYS[command] if k in record)
+    return " ".join((f"{command}:", *shown))
 
 
 def main(argv=None) -> int:

@@ -41,7 +41,6 @@ the sub-exhaustive randomized approximation scheme built from the two.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,14 +48,15 @@ import numpy as np
 
 from . import chain as chain_mod
 from .chain import BURN_CONST, AlphaEstimate, guard_height
-from .errors import SizeGuardError
 from .machine import SelfReducibleInstance, build_branching_tree
 
+from .trees import DEFAULT_MATERIALIZE_GUARD, BranchingTree, guarded_nodes
+
 # ``materialize`` and ``truncate`` are not called here (enumeration goes
-# through ``iter_nodes``, and a truncation is a depth argument), but they
+# through ``guarded_nodes``, and a truncation is a depth argument), but they
 # stay module attributes: the benchmark tracer, benchmarks/tracer.py,
 # patches ``estimator.materialize`` and ``estimator.truncate``.
-from .trees import DEFAULT_MATERIALIZE_GUARD, BranchingTree, materialize, truncate  # noqa: F401
+from .trees import materialize, truncate  # noqa: F401
 
 # The first transport is the default.
 TRANSPORTS = ("chain", "exact")
@@ -117,7 +117,6 @@ class EstimateReport:
     total_samples: int
     transport: str
     mode: str
-    wall_time_s: float
     degenerate_depths: int = 0
 
 
@@ -158,7 +157,6 @@ def _report(
     config: EstimatorConfig,
     alphas: tuple[AlphaEstimate, ...],
     mode: str,
-    t0: float,
     error_radius: float | None = None,
 ) -> EstimateReport:
     return EstimateReport(
@@ -174,7 +172,6 @@ def _report(
         total_samples=sum(a.samples * a.repetitions for a in alphas),
         transport=config.transport,
         mode=mode,
-        wall_time_s=time.perf_counter() - t0,
         degenerate_depths=sum(a.degenerate for a in alphas),
     )
 
@@ -182,14 +179,12 @@ def _report(
 def _depth_counts(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> list[int]:
     """Number of nodes at each depth 0..height, by one enumeration.
 
-    The tree is walked by ``iter_nodes`` and never stored; past
+    The tree is walked by ``guarded_nodes`` and never stored; past
     ``max_nodes`` nodes it raises SizeGuardError, as ``materialize``
-    would.
+    does.
     """
     counts = [0] * (tree.height + 1)
-    for seen, node in enumerate(tree.iter_nodes(), start=1):
-        if seen > max_nodes:
-            raise SizeGuardError(f"tree exceeds the materialization guard of {max_nodes} nodes")
+    for node in guarded_nodes(tree, max_nodes):
         counts[len(node)] += 1
     return counts
 
@@ -218,14 +213,13 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
     exists to validate the estimator's statistics separately from the
     walk's mixing.  Depths run in order, each on its own ``derived_rng``.
     """
-    t0 = time.perf_counter()
     if tree.is_empty:
-        return _report(0.0, tree.height, config, (), "empty", t0, error_radius=0.0)
+        return _report(0.0, tree.height, config, (), "empty", error_radius=0.0)
     n = tree.height
     guard_height(n)
     exact0 = AlphaEstimate(1.0, 0.0, 0, 0, 1.0, 0)
     if n == 0:
-        return _report(1.0, 0, config, (exact0,), "telescoping", t0)
+        return _report(1.0, 0, config, (exact0,), "telescoping")
 
     zeta = config.xi / (2 * (n + 1))
     delta_call = config.delta / (n + 1)
@@ -242,7 +236,7 @@ def estimate_size(tree: BranchingTree, config: EstimatorConfig) -> EstimateRepor
         alphas.append(alpha)
 
     raw = telescoped_size([1.0 / a.value for a in alphas])
-    return _report(raw, n, config, tuple(alphas), "telescoping", t0)
+    return _report(raw, n, config, tuple(alphas), "telescoping")
 
 
 def _tree_of(source: BranchingTree | SelfReducibleInstance) -> BranchingTree:
@@ -318,7 +312,6 @@ def ras(
         raise ValueError(f"k must be >= 1 and finite, got {k}")
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    t0 = time.perf_counter()
     tree = _tree_of(source)
     n = tree.height
     guard_height(n)
@@ -329,5 +322,5 @@ def ras(
     cutoff = min(k * 2.0 ** (n / 2) * math.sqrt(s), 2.0 ** (n + 1))
     outcome = count_up_to(tree, math.ceil(cutoff))
     if isinstance(outcome, ExactCount):
-        return _report(float(outcome.value), n, config, (), "exact", t0, error_radius=0.0)
+        return _report(float(outcome.value), n, config, (), "exact", error_radius=0.0)
     return estimate_size(tree, config)

@@ -71,7 +71,6 @@ class SelfReducibleInstance:
     decision: Callable[[Any], bool]
     branch_bound: int
     step_budget: int
-    label: str = ""
 
 
 # Sentinel state for the two runs spawned by the synthetic final split.
@@ -186,15 +185,6 @@ class InstanceTree(BranchingTree):
                 stack.append((node + (1,), high))
             if low is not None:
                 stack.append((node + (0,), low))
-
-    def __contains__(self, node: NodePath) -> bool:
-        if self.is_empty:
-            return False
-        try:
-            self._split_at(tuple(node))
-            return True
-        except NotInTreeError:
-            return False
 
 
 def build_branching_tree(instance: SelfReducibleInstance) -> InstanceTree:

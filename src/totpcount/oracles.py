@@ -17,11 +17,10 @@ import numpy as np
 from .errors import SizeGuardError
 from .machine import SelfReducibleInstance, _Cursor, _advance, build_branching_tree
 from .problems import CnfFormula, DnfFormula, Graph, MonotoneCircuit
-from .trees import ExplicitTree, NodePath, materialize
+from .trees import DEFAULT_MATERIALIZE_GUARD, ExplicitTree, NodePath, materialize
 
 MAX_ENUM_VARS = 25
 MAX_CONDUCTANCE_NODES = 18
-MAX_TREE_NODES = 10**6
 
 _CHUNK = 1 << 20
 
@@ -89,12 +88,16 @@ def count_sat(formula: DnfFormula | CnfFormula | MonotoneCircuit) -> int:
     return total
 
 
-def materialize_tree(instance: SelfReducibleInstance, max_nodes: int = MAX_TREE_NODES) -> ExplicitTree:
+def materialize_tree(
+    instance: SelfReducibleInstance, max_nodes: int = DEFAULT_MATERIALIZE_GUARD
+) -> ExplicitTree:
     """Exhaustive walk of the branching-tree oracle into an explicit tree."""
     return materialize(build_branching_tree(instance), max_nodes=max_nodes)
 
 
-def count_computation_paths(instance: SelfReducibleInstance, max_paths: int = MAX_TREE_NODES) -> int:
+def count_computation_paths(
+    instance: SelfReducibleInstance, max_paths: int = DEFAULT_MATERIALIZE_GUARD
+) -> int:
     """Number of maximal runs of the wrapped machine, by exhaustive replay.
 
     Equals the branching-tree node count plus one for nonempty instances,

@@ -159,7 +159,6 @@ def is_instance(g: Graph) -> SelfReducibleInstance:
         decision=decision,
         branch_bound=g.n_vertices + 1,
         step_budget=2 * (g.n_vertices + 2),
-        label=f"independent-sets(n={g.n_vertices})",
     )
 
 
@@ -204,7 +203,6 @@ def dnf_instance(phi: DnfFormula) -> SelfReducibleInstance:
         decision=decision,
         branch_bound=n + 1,
         step_budget=2 * (n + 2),
-        label=f"dnf-sat(n={n}, terms={len(terms)})",
     )
 
 
@@ -283,7 +281,6 @@ def monotone_instance(circuit: MonotoneCircuit) -> SelfReducibleInstance:
         decision=decision,
         branch_bound=n + 1,
         step_budget=2 * (n + 2),
-        label=f"monotone-sat(n={n}, gates={len(circuit.gates)})",
     )
 
 

@@ -3,20 +3,25 @@
 A tree here is a prefix-closed set of nodes inside the full binary tree of
 height n.  A node is identified purely by the sequence of binary choices
 (0 = left, 1 = right) that reaches it from the root, so implicit trees of
-large height are representable without materializing anything.  Trees are
-exposed through a children oracle; the oracle is pure and read-only, so
-every pass over a tree sees the same nodes.  Whole-tree passes (``materialize``,
-the threshold decider, exact per-depth counts, the walker's index) go
+large height are representable without materializing anything.  The
+library reads a tree through four members of ``BranchingTree`` and no
+others: ``height``, ``is_empty``, the ``children`` oracle and
+``iter_nodes``.  The oracle is pure and read-only, so every pass over a
+tree sees the same nodes.  Whole-tree passes (``materialize``, the
+threshold decider, exact per-depth counts, the walker's index) go
 through ``iter_nodes``, which a tree may implement more cheaply than one
-oracle call per node.  A truncation S_i is a depth, not a tree object:
-``iter_nodes(i)`` enumerates it and the walk takes i as its cut
-(``chain.estimate_alpha``); ``truncate`` builds it as an explicit tree.
+oracle call per node; ``materialize`` and the exact per-depth counts
+share one node guard, ``guarded_nodes``.  A truncation S_i is a depth,
+not a tree object: ``iter_nodes(i)`` enumerates it and the walk takes i
+as its cut (``chain.estimate_alpha``); ``truncate`` builds it as an
+explicit tree.
 
 The empty tree is a first-class value: downstream estimators check
 ``is_empty`` and never run a walk on it.
 """
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Iterable, Iterator
@@ -33,7 +38,12 @@ DEFAULT_MATERIALIZE_GUARD = 10**6
 
 
 class BranchingTree(ABC):
-    """Oracle view of a prefix-closed binary tree of bounded height."""
+    """Oracle view of a prefix-closed binary tree of bounded height.
+
+    The library calls ``height``, ``is_empty``, ``children`` and
+    ``iter_nodes``; a tree implements the first three and may override
+    the fourth.
+    """
 
     height: int
 
@@ -49,9 +59,6 @@ class BranchingTree(ABC):
         Raises NotInTreeError when ``node`` itself is not in the tree;
         silently answering for foreign nodes would poison the walk.
         """
-
-    @abstractmethod
-    def __contains__(self, node: NodePath) -> bool: ...
 
     def iter_nodes(self, max_depth: int | None = None) -> Iterator[NodePath]:
         """Depth-first preorder over the nodes of depth <= ``max_depth``.
@@ -98,9 +105,6 @@ class ExplicitTree(BranchingTree):
         if node not in self.nodes:
             raise NotInTreeError(f"node {node!r} is not in the tree")
         return tuple(c for b in (0, 1) if (c := node + (b,)) in self.nodes)
-
-    def __contains__(self, node: NodePath) -> bool:
-        return tuple(node) in self.nodes
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -152,7 +156,7 @@ def full_binary_tree(height: int) -> ExplicitTree:
 
 
 def materialize(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> ExplicitTree:
-    """Enumerate the tree's nodes (``tree.iter_nodes``) into an explicit tree.
+    """Enumerate the tree's nodes (``guarded_nodes``) into an explicit tree.
 
     Raises SizeGuardError as soon as more than ``max_nodes`` nodes are
     seen.  The declared height is preserved so stationary masses computed
@@ -163,12 +167,19 @@ def materialize(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD)
         return ExplicitTree((), height=tree.height)
     if isinstance(tree, ExplicitTree):
         return tree
-    nodes: list[NodePath] = []
-    for node in tree.iter_nodes():
-        nodes.append(node)
-        if len(nodes) > max_nodes:
-            raise SizeGuardError(f"tree exceeds the materialization guard of {max_nodes} nodes")
-    return ExplicitTree(nodes, height=tree.height)
+    return ExplicitTree(guarded_nodes(tree, max_nodes), height=tree.height)
+
+
+def guarded_nodes(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> Iterator[NodePath]:
+    """``tree.iter_nodes()``, raising SizeGuardError where it would yield node ``max_nodes`` + 1.
+
+    The guard is checked once, after the first ``max_nodes`` nodes, not
+    once per node.
+    """
+    nodes = tree.iter_nodes()
+    yield from itertools.islice(nodes, max_nodes)
+    if next(nodes, None) is not None:
+        raise SizeGuardError(f"tree exceeds the materialization guard of {max_nodes} nodes")
 
 
 def random_tree(

@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 
 import pytest
 
@@ -554,3 +555,62 @@ def test_cli_and_bench_give_the_same_record(capsys, tmp_path, tree_file, dnf_fil
         code, _ = run_cli(capsys, ["bench", "--suite", str(suite), "--out", str(out)])
         assert code == 0, command
         assert canonical(json.loads(out.read_text())) == canonical(from_cli)
+
+
+def _tiny_runs(tree_file, dnf_file):
+    """Runner keywords of each of the five commands on tiny inputs, exact transport."""
+    exact = {"delta": 0.5, "seed": 1, "transport": "exact"}
+    return {
+        "estimate": {"problem": "tree", "input": str(tree_file), "xi": 1.0, **exact},
+        "exact": {"problem": "tree", "input": str(tree_file), "threshold": 5},
+        "ras": {"problem": "tree", "input": str(tree_file), "k": 2.0, "beta": 0.5, **exact},
+        "capp": {"problem": "dnf", "input": str(dnf_file), "epsilon": 0.5, **exact},
+        "gapcsat": {"problem": "dnf", "input": str(dnf_file), "rho": 1.0, **exact},
+    }
+
+
+@pytest.mark.parametrize("command", ["estimate", "exact", "ras", "capp", "gapcsat"])
+def test_wall_time_covers_the_whole_command(monkeypatch, tree_file, dnf_file, command):
+    """Every record's wall_time_s includes parsing the input and building the adapter."""
+    for name in ("_load_tree_source", "_load_circuit_source"):
+        load = getattr(cli, name)
+
+        def slow(*args, load=load):
+            time.sleep(0.05)
+            return load(*args)
+
+        monkeypatch.setattr(cli, name, slow)
+    record = cli._RUNNERS[command](**_tiny_runs(tree_file, dnf_file)[command])
+    assert record["wall_time_s"] >= 0.05
+
+
+def _shown(value) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+def test_summary_line_comes_from_the_record(capsys, tmp_path, tree_file, dnf_file):
+    """The stderr line is ``<command>: k=v ...`` and every k=v is the record's."""
+    runs = _tiny_runs(tree_file, dnf_file)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"runs": [{"command": "exact", **runs["exact"]}]}),
+                     encoding="utf-8")
+    exceeds = dict(runs["exact"], threshold=2)
+    cases = [*runs.items(), ("exact", exceeds),
+             ("bench", {"suite": str(suite), "out": str(tmp_path / "o.jsonl")})]
+    for command, kwargs in cases:
+        argv = [command]
+        for key, value in kwargs.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        line = captured.err.strip()
+        assert "\n" not in line
+        head, _, rest = line.partition(" ")
+        assert head == f"{command}:", line
+        pairs = rest.split(" ")
+        assert all("=" in pair for pair in pairs), line
+        for pair in pairs:
+            key, _, value = pair.partition("=")
+            assert key in record, (line, key)
+            assert value == _shown(record[key]), (line, key)

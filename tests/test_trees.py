@@ -89,7 +89,6 @@ def test_exact_size_examples():
 def test_empty_tree_is_first_class():
     tree = ExplicitTree([], height=4)
     assert tree.is_empty
-    assert () not in tree
 
 
 def test_materialize_preserves_declared_height():
