@@ -568,7 +568,7 @@ def estimate_alpha(
     zeta, delta : relative error target and failure probability, both in (0,1).
     burn_const : the multiplier C > 0 of ``burn_in_steps``; C = 2 carries
         the guarantee, and smaller values walk shorter burn-ins without it.
-    rng : numpy Generator; required unless the tree has a single node.
+    rng : numpy Generator; required unless ``height`` is 0.
 
     Each sample walks ``burn_in_steps(height, zeta / (1 + zeta), C)``
     steps from the root, as Binomial(T, 1/2) moves of the non-lazy

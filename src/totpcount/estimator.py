@@ -40,7 +40,9 @@ the sub-exhaustive randomized approximation scheme built from the two.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,10 +52,10 @@ from . import chain as chain_mod
 from .chain import BURN_CONST, AlphaEstimate, guard_height
 from .machine import SelfReducibleInstance, build_branching_tree
 
-from .trees import DEFAULT_MATERIALIZE_GUARD, BranchingTree, guarded_nodes
+from .trees import BranchingTree, depth_counts
 
 # ``materialize`` and ``truncate`` are not called here (enumeration goes
-# through ``guarded_nodes``, and a truncation is a depth argument), but they
+# through ``depth_counts``, and a truncation is a depth argument), but they
 # stay module attributes: the benchmark tracer, benchmarks/tracer.py,
 # patches ``estimator.materialize`` and ``estimator.truncate``.
 from .trees import materialize, truncate  # noqa: F401
@@ -111,11 +113,9 @@ class EstimateReport:
     error_radius: float
     height: int
     xi: float
-    delta: float
     alpha_estimates: tuple[AlphaEstimate, ...]
     total_chain_steps: int
     total_samples: int
-    transport: str
     mode: str
     degenerate_depths: int = 0
 
@@ -166,34 +166,19 @@ def _report(
         error_radius=config.xi * 2.0**height if error_radius is None else error_radius,
         height=height,
         xi=config.xi,
-        delta=config.delta,
         alpha_estimates=alphas,
         total_chain_steps=sum(a.chain_steps for a in alphas),
         total_samples=sum(a.samples * a.repetitions for a in alphas),
-        transport=config.transport,
         mode=mode,
         degenerate_depths=sum(a.degenerate for a in alphas),
     )
-
-
-def _depth_counts(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> list[int]:
-    """Number of nodes at each depth 0..height, by one enumeration.
-
-    The tree is walked by ``guarded_nodes`` and never stored; past
-    ``max_nodes`` nodes it raises SizeGuardError, as ``materialize``
-    does.
-    """
-    counts = [0] * (tree.height + 1)
-    for node in guarded_nodes(tree, max_nodes):
-        counts[len(node)] += 1
-    return counts
 
 
 def _exact_root_masses(tree: BranchingTree) -> list[float]:
     """pi_{S_i}(root) for every depth i, from one count of nodes per depth."""
     masses: list[float] = []
     weight = 0  # sum over nodes of depth <= i of 2^(i - depth), updated per level
-    for i, count in enumerate(_depth_counts(tree)):
+    for i, count in enumerate(depth_counts(tree)):
         weight = 2 * weight + count
         masses.append((1 << i) / weight)
     return masses
@@ -251,21 +236,18 @@ def count_up_to(
 ) -> CountOutcome:
     """Decide deterministically whether the tree has at most ``threshold`` nodes.
 
-    Depth-first enumeration (``iter_nodes``) that stops as soon as
-    threshold+1 nodes are seen, so it never visits more than threshold+1
-    nodes; on a machine-backed tree no node's children are advanced after
-    the last node counted.
+    Depth-first enumeration (``iter_nodes``) cut off after threshold+1
+    nodes, the way ``trees.guarded_nodes`` cuts at its guard, so it never
+    visits more than threshold+1 nodes; on a machine-backed tree no node's
+    children are advanced after the last node counted.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    tree = _tree_of(source)
-    if tree.is_empty:
-        return ExactCount(0, 0)
-    count = 0
-    for _ in tree.iter_nodes():
-        count += 1
-        if count > threshold:
-            return ExceedsThreshold(threshold, count)
+    # islice stops at sys.maxsize at most, a count no enumeration reaches.
+    stop = min(threshold + 1, sys.maxsize)
+    count = sum(1 for _ in itertools.islice(_tree_of(source).iter_nodes(), stop))
+    if count > threshold:
+        return ExceedsThreshold(threshold, count)
     return ExactCount(count, count)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import SizeGuardError
 from .machine import SelfReducibleInstance, _Cursor, _advance, build_branching_tree
 from .problems import CnfFormula, DnfFormula, Graph, MonotoneCircuit
-from .trees import DEFAULT_MATERIALIZE_GUARD, ExplicitTree, NodePath, materialize
+from . import trees
+from .trees import ExplicitTree, NodePath, materialize
 
 MAX_ENUM_VARS = 25
 MAX_CONDUCTANCE_NODES = 18
@@ -88,21 +89,19 @@ def count_sat(formula: DnfFormula | CnfFormula | MonotoneCircuit) -> int:
     return total
 
 
-def materialize_tree(
-    instance: SelfReducibleInstance, max_nodes: int = DEFAULT_MATERIALIZE_GUARD
-) -> ExplicitTree:
+def materialize_tree(instance: SelfReducibleInstance) -> ExplicitTree:
     """Exhaustive walk of the branching-tree oracle into an explicit tree."""
-    return materialize(build_branching_tree(instance), max_nodes=max_nodes)
+    return materialize(build_branching_tree(instance))
 
 
-def count_computation_paths(
-    instance: SelfReducibleInstance, max_paths: int = DEFAULT_MATERIALIZE_GUARD
-) -> int:
+def count_computation_paths(instance: SelfReducibleInstance) -> int:
     """Number of maximal runs of the wrapped machine, by exhaustive replay.
 
     Equals the branching-tree node count plus one for nonempty instances,
-    and one for empty ones.
+    and one for empty ones.  More runs than ``trees.DEFAULT_MATERIALIZE_GUARD``
+    raise SizeGuardError.
     """
+    guard = trees.DEFAULT_MATERIALIZE_GUARD
     nonempty = bool(instance.decision(instance.initial))
     if not nonempty:
         return 1
@@ -113,8 +112,8 @@ def count_computation_paths(
         pair = _advance(instance, cur)
         if pair is None:
             paths += 1
-            if paths > max_paths:
-                raise SizeGuardError(f"run count exceeds the guard of {max_paths}")
+            if paths > guard:
+                raise SizeGuardError(f"run count exceeds the guard of {guard}")
         else:
             stack.extend(pair)
     return paths

@@ -10,8 +10,12 @@ others: ``height``, ``is_empty``, the ``children`` oracle and
 tree sees the same nodes.  Whole-tree passes (``materialize``, the
 threshold decider, exact per-depth counts, the walker's index) go
 through ``iter_nodes``, which a tree may implement more cheaply than one
-oracle call per node; ``materialize`` and the exact per-depth counts
-share one node guard, ``guarded_nodes``.  A truncation S_i is a depth,
+oracle call per node.  Every whole-tree pass that keeps or counts all
+the nodes -- ``materialize``, ``depth_counts`` and the oracles'
+``materialize_tree`` and ``count_computation_paths`` -- stops at one
+node guard, ``DEFAULT_MATERIALIZE_GUARD`` (10^6), read when the pass
+runs, and raises SizeGuardError past it; the threshold decider stops
+the same way at its threshold.  A truncation S_i is a depth,
 not a tree object: ``iter_nodes(i)`` enumerates it and the walk takes i
 as its cut (``chain.estimate_alpha``); ``truncate`` builds it as an
 explicit tree.
@@ -106,9 +110,6 @@ class ExplicitTree(BranchingTree):
             raise NotInTreeError(f"node {node!r} is not in the tree")
         return tuple(c for b in (0, 1) if (c := node + (b,)) in self.nodes)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExplicitTree)
@@ -121,16 +122,6 @@ class ExplicitTree(BranchingTree):
 
     def __repr__(self) -> str:
         return f"ExplicitTree({len(self.nodes)} nodes, height={self.height})"
-
-    def depth_counts(self) -> list[int]:
-        """Number of nodes at each depth 0..height."""
-        counts = [0] * (self.height + 1)
-        for p in self.nodes:
-            counts[len(p)] += 1
-        return counts
-
-    def is_full_binary(self) -> bool:
-        return len(self.nodes) == 2 ** (self.height + 1) - 1
 
 
 def truncate(tree: BranchingTree, depth: int) -> ExplicitTree:
@@ -155,31 +146,40 @@ def full_binary_tree(height: int) -> ExplicitTree:
     return ExplicitTree(nodes, height=height)
 
 
-def materialize(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> ExplicitTree:
+def materialize(tree: BranchingTree) -> ExplicitTree:
     """Enumerate the tree's nodes (``guarded_nodes``) into an explicit tree.
 
-    Raises SizeGuardError as soon as more than ``max_nodes`` nodes are
-    seen.  The declared height is preserved so stationary masses computed
+    Raises SizeGuardError as soon as more nodes than the node guard
+    allows are seen.  The declared height is preserved so stationary masses computed
     on the result match the implicit original.  Nothing is cached: each
-    call enumerates the tree again, under its own guard.
+    call enumerates the tree again, under the guard as it is then.
     """
     if tree.is_empty:
         return ExplicitTree((), height=tree.height)
     if isinstance(tree, ExplicitTree):
         return tree
-    return ExplicitTree(guarded_nodes(tree, max_nodes), height=tree.height)
+    return ExplicitTree(guarded_nodes(tree), height=tree.height)
 
 
-def guarded_nodes(tree: BranchingTree, max_nodes: int = DEFAULT_MATERIALIZE_GUARD) -> Iterator[NodePath]:
-    """``tree.iter_nodes()``, raising SizeGuardError where it would yield node ``max_nodes`` + 1.
+def guarded_nodes(tree: BranchingTree) -> Iterator[NodePath]:
+    """``tree.iter_nodes()``, raising SizeGuardError where it would pass the node guard.
 
-    The guard is checked once, after the first ``max_nodes`` nodes, not
-    once per node.
+    The guard is ``DEFAULT_MATERIALIZE_GUARD`` when the enumeration
+    starts, checked once after that many nodes, not once per node.
     """
+    guard = DEFAULT_MATERIALIZE_GUARD
     nodes = tree.iter_nodes()
-    yield from itertools.islice(nodes, max_nodes)
+    yield from itertools.islice(nodes, guard)
     if next(nodes, None) is not None:
-        raise SizeGuardError(f"tree exceeds the materialization guard of {max_nodes} nodes")
+        raise SizeGuardError(f"tree exceeds the materialization guard of {guard} nodes")
+
+
+def depth_counts(tree: BranchingTree) -> list[int]:
+    """Number of nodes at each depth 0..height, by one guarded enumeration."""
+    counts = [0] * (tree.height + 1)
+    for node in guarded_nodes(tree):
+        counts[len(node)] += 1
+    return counts
 
 
 def random_tree(
@@ -187,25 +187,22 @@ def random_tree(
     height: int,
     child_prob: float = 0.5,
     max_nodes: int | None = None,
-    ensure_height: bool = True,
 ) -> ExplicitTree:
     """Random prefix-closed tree of the given declared height.
 
-    Children are kept independently with probability ``child_prob``;
-    ``ensure_height`` forces one random path down to full depth so the
-    declared height is actually realized.  ``max_nodes`` caps the size by
-    stopping breadth-first growth; it must leave room for the root and
-    that forced path, or ValueError is raised.
+    One random path is forced down to full depth so the declared height
+    is actually realized; every other child is kept independently with
+    probability ``child_prob``.  ``max_nodes`` caps the size by stopping
+    breadth-first growth; it must leave room for the root and that
+    forced path, or ValueError is raised.
     """
-    least = height + 1 if ensure_height else 1
-    if max_nodes is not None and max_nodes < least:
-        raise ValueError(f"max_nodes {max_nodes} is below the {least} nodes every such tree has")
+    if max_nodes is not None and max_nodes < height + 1:
+        raise ValueError(f"max_nodes {max_nodes} is below the {height + 1} nodes every such tree has")
     nodes: set[NodePath] = {ROOT}
-    if ensure_height:
-        path: NodePath = ROOT
-        for _ in range(height):
-            path = path + (int(rng.integers(0, 2)),)
-            nodes.add(path)
+    path: NodePath = ROOT
+    for _ in range(height):
+        path = path + (int(rng.integers(0, 2)),)
+        nodes.add(path)
     queue: deque[NodePath] = deque(sorted(nodes, key=lambda p: (len(p), p)))
     while queue:
         node = queue.popleft()

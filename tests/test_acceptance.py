@@ -52,6 +52,7 @@ from totpcount.cli import main as cli_main
 from totpcount.generate import random_cnf, random_dnf, random_graph, random_monotone_circuit
 from totpcount.oracles import tv_distance
 from totpcount.problems import save_circuit, save_graph
+from totpcount.trees import depth_counts
 
 
 def _criterion(num: int, ok: bool, elapsed: float, detail: str) -> None:
@@ -98,7 +99,7 @@ def test_criterion_01_stationarity_and_reversibility(tree_suite):
 
 def _inverse_alphas(tree) -> list[int]:
     # 1/alpha_{S_i} equals the integer weight W_i = sum over depth<=i of 2^(i-d).
-    counts = tree.depth_counts()
+    counts = depth_counts(tree)
     inv, weight = [], 0
     for r in counts:
         weight = 2 * weight + r
@@ -111,7 +112,7 @@ def test_criterion_02_telescoping_identity(tree_suite):
     ok = True
     for tree in tree_suite:
         inv = _inverse_alphas(tree)
-        counts = tree.depth_counts()
+        counts = depth_counts(tree)
         ok &= inv[0] == 1
         ok &= inv[-1] - sum(inv[:-1]) == len(tree.nodes)
         ok &= all(counts[k] == inv[k] - 2 * inv[k - 1] for k in range(1, tree.height + 1))
@@ -133,7 +134,7 @@ def test_criterion_03_alpha_bounds(tree_suite):
         weight = _inverse_alphas(tree)[-1]
         ok &= weight <= (n + 1) * 2**n
         ok &= root_mass_exact(tree) >= Fraction(1, n + 1)
-        ok &= (weight == (n + 1) * 2**n) == tree.is_full_binary()
+        ok &= (weight == (n + 1) * 2**n) == (len(tree.nodes) == 2 ** (n + 1) - 1)
     for h in range(1, 7):
         fb = full_binary_tree(h)
         ok &= _inverse_alphas(fb)[-1] == (h + 1) * 2**h

@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,8 @@ from totpcount import (
     ras,
     telescoped_size,
 )
-from totpcount import cli, estimator
+from totpcount import cli, estimator, trees
+from totpcount.trees import depth_counts
 
 
 def exact_cfg(xi, delta, seed):
@@ -187,6 +186,11 @@ def test_count_up_to_visit_bound(rng):
             assert out.value == len(tree.nodes) <= threshold
 
 
+def test_count_up_to_takes_thresholds_past_sys_maxsize():
+    # ras may ask for a cutoff up to 2^(height+1), and heights reach 500.
+    assert count_up_to(full_binary_tree(2), 2**600) == ExactCount(7, 7)
+
+
 def test_count_up_to_rejects_negative_threshold():
     with pytest.raises(ValueError):
         count_up_to(full_binary_tree(1), -1)
@@ -223,21 +227,23 @@ def test_malformed_instances_raise_through_enumeration(bound):
         estimate_size(build_branching_tree(inst), exact_cfg(0.5, 0.2, 1))
 
 
-def test_materialize_guard_holds_on_a_second_call():
+def test_materialize_guard_holds_on_a_second_call(monkeypatch):
     # A tree materialized once must still be checked against a smaller
     # guard: nothing from the first enumeration may be reused.
     tree = build_branching_tree(dnf_instance(DnfFormula(6, ((1,),))))
     assert len(materialize(tree).nodes) == 32
+    monkeypatch.setattr(trees, "DEFAULT_MATERIALIZE_GUARD", 5)
     with pytest.raises(SizeGuardError):
-        materialize(tree, max_nodes=5)
+        materialize(tree)
 
 
-def test_exact_transport_depth_count_guard():
-    assert inspect.signature(estimator._depth_counts).parameters["max_nodes"].default == 10**6
+def test_exact_transport_depth_count_guard(monkeypatch):
     tree = build_branching_tree(dnf_instance(DnfFormula(7, ((),))))  # 128 nodes
-    assert estimator._depth_counts(tree, max_nodes=128) == [1, 2, 4, 8, 16, 32, 64, 1, 0]
+    monkeypatch.setattr(trees, "DEFAULT_MATERIALIZE_GUARD", 128)
+    assert depth_counts(tree) == [1, 2, 4, 8, 16, 32, 64, 1, 0]
+    monkeypatch.setattr(trees, "DEFAULT_MATERIALIZE_GUARD", 127)
     with pytest.raises(SizeGuardError):
-        estimator._depth_counts(tree, max_nodes=127)
+        estimate_size(tree, exact_cfg(0.5, 0.2, 1))
 
 
 # --- absolute-error scheduling

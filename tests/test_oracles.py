@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from totpcount import trees
 from totpcount import (
     CnfFormula,
     DnfFormula,
@@ -54,10 +55,11 @@ def test_materialize_tree_examples():
     assert len(materialize_tree(dnf_instance(DnfFormula(2, ((1,),)))).nodes) == 2
 
 
-def test_materialize_tree_guard():
+def test_materialize_tree_guard(monkeypatch):
     inst = dnf_instance(DnfFormula(10, ((),)))  # 1024 solutions
+    monkeypatch.setattr(trees, "DEFAULT_MATERIALIZE_GUARD", 100)
     with pytest.raises(SizeGuardError):
-        materialize_tree(inst, max_nodes=100)
+        materialize_tree(inst)
 
 
 def test_count_paths_of_empty_instance():

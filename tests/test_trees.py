@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 from totpcount import (
+    DnfFormula,
     ExplicitTree,
     NotInTreeError,
     ParseError,
+    SizeGuardError,
+    build_branching_tree,
+    count_computation_paths,
+    dnf_instance,
     exact_size,
     full_binary_tree,
     load_tree,
     materialize,
+    materialize_tree,
     random_tree,
     save_tree,
+    trees,
     truncate,
 )
+from totpcount.trees import depth_counts, guarded_nodes
 
 
 def test_children_full_binary_root():
@@ -116,7 +124,7 @@ def test_random_tree_max_nodes_caps_the_size():
     with pytest.raises(ValueError):
         random_tree(np.random.default_rng(0), 5, max_nodes=3)
     with pytest.raises(ValueError):
-        random_tree(np.random.default_rng(0), 0, max_nodes=0, ensure_height=False)
+        random_tree(np.random.default_rng(0), 0, max_nodes=0)
     for h in range(1, 7):
         for cap in (h + 1, h + 2, 2 * h + 3):
             tree = random_tree(np.random.default_rng(cap), h, child_prob=0.9, max_nodes=cap)
@@ -151,3 +159,26 @@ def test_tree_file_rejects_prefix_violation(tmp_path):
     path.write_text("-\n11\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_tree(path)
+
+
+# A formula with one empty term accepts all 2^7 assignments: its tree has
+# 128 nodes (127 branch points and one leaf below the last) and its machine
+# 129 maximal runs.  Each whole-tree pass reads the one guard when it runs.
+_ALL_SEVEN = dnf_instance(DnfFormula(7, ((),)))
+_WHOLE_TREE_PASSES = {
+    "guarded_nodes": (lambda: list(guarded_nodes(build_branching_tree(_ALL_SEVEN))), 128),
+    "materialize": (lambda: materialize(build_branching_tree(_ALL_SEVEN)), 128),
+    "depth_counts": (lambda: depth_counts(build_branching_tree(_ALL_SEVEN)), 128),
+    "materialize_tree": (lambda: materialize_tree(_ALL_SEVEN), 128),
+    "count_computation_paths": (lambda: count_computation_paths(_ALL_SEVEN), 129),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WHOLE_TREE_PASSES))
+def test_every_whole_tree_pass_stops_at_the_one_guard(name, monkeypatch):
+    run, count = _WHOLE_TREE_PASSES[name]
+    monkeypatch.setattr(trees, "DEFAULT_MATERIALIZE_GUARD", count)
+    run()
+    monkeypatch.setattr(trees, "DEFAULT_MATERIALIZE_GUARD", count - 1)
+    with pytest.raises(SizeGuardError):
+        run()
