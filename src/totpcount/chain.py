@@ -12,24 +12,28 @@ the parent with probability 1/2 and to each child with probability 1/4
 (a move to the root's parent or to an absent child holds).  By the binomial
 theorem P^T = sum_k C(T, k) 2^-T Q^k, so a walk of T lazy steps has
 exactly the law of k ~ Binomial(T, 1/2) moves of Q.  The vectorized
-walker for explicit trees walks only those moves.  Every Q probability is
-a multiple of 1/4, so one move is a table lookup on a uniform draw from
-{0..3}; the walker composes that table into a j-step table whose columns
-are the 4^j sequences of j draws, so one gather on a uniform 2j-bit code
-makes j moves with exactly the law of Q^j (see ``IndexedTree``).  The
-codes are the 16-bit lanes of full-range 64-bit random words, each
-masked to its low 2j bits (see ``_advance``).  Its ``walk_batch`` walks
-the walkers sorted by their move counts, so the walkers still moving
-form one contiguous slice at every gather, and shuffles the finals at
-the end.
+walker for explicit trees walks only those moves, by the law
+Q^k = Q^r (Q^J)^q, r = k mod J, q = k div J: one draw from the root's
+row of Q^r, then q jumps of J moves.  Every Q probability is a multiple
+of 1/4, so 4^J Q^J is an integer matrix whose rows sum to 4^J, and each
+draw is one uniform 32-bit code, the lane of a full-range 64-bit word,
+sampled through an exact integer CDF of its row: a guide table of 2^g
+buckets a row gives the target of each bucket that lies inside one
+target's codes, and the row's CDF resolves the codes of a bucket that
+straddles two targets (see ``IndexedTree`` and ``_jump``).  J = 16
+while a row has at least 2^10 buckets, which is every tree of at most
+32 nodes; on larger trees J is the largest j whose 4^j buckets a row
+fit the table cap, and no bucket straddles.  Its ``walk_batch`` walks
+the walkers sorted by their move counts, so the walkers that make each
+jump form one suffix, and shuffles the finals at the end.
 ``estimate_alpha`` walks all t repetitions of m samples of a depth
 together, in the fewest ``walk_batch`` calls of at most 2^15 walkers
 that hold whole repetitions (a wider repetition walks alone, in calls of
 at most 2^15), and splits each call's finals back into per-repetition
 root-hit counts (``_batched_root_hits``).  That one sampling path takes
 either walker.  On an oracle-backed tree the walker draws the same move
-counts and 2-bit codes, one ``rng.binomial`` call per batch and one
-lazily drawn code stream, and walks the samples one after another from
+counts, one ``rng.binomial`` call per batch, then one lazily drawn stream
+of 2-bit codes, one a move, and walks the samples one after another from
 the root, one Python lookup per move, over a table of the rows of S_i
 that grows as the walk finds nodes (``_GrownRows``).  A row's child
 columns are filled by one ``children`` query (a machine replay) the
@@ -192,13 +196,16 @@ def transition_matrix_exact(tree: ExplicitTree, lazy: bool = True):
 # batched walking on explicit trees
 
 
-# Entries of the j-step table (int32, so 128 KB) and uint16 codes per draw
-# block (64 KB).  Larger caps buy little speed and cost resident memory.
+# Entries of each guide table (int32, so 128 KB).  Larger caps buy little
+# speed and cost resident memory.
 _TABLE_ENTRIES = 1 << 15
-_BLOCK_CODES = 1 << 15
-# A j-step code takes 2j bits (one base-4 digit a move) and must fit a
-# uint16 lane.  Under the 2^15-entry cap j reaches 7, at one or two nodes.
-_MAX_JUMP = 8
+# Moves per long jump: 4^16 = 2^32 move sequences, so a jump's code is one
+# 32-bit lane and every integer CDF entry of a row of (4Q)^16 fits below 2^32.
+_LONG_JUMP = 16
+# Fewest guide buckets a row (as a power of two) that a long jump takes.
+# Below it a bucket straddles targets too often; the walk then jumps
+# j moves on 4^j buckets, which never straddle.
+_MIN_GUIDE_BITS = 10
 # Walkers per walk_batch call when estimate_alpha batches repetitions:
 # wide enough to spread numpy's per-call cost over many walkers, small
 # enough that the walker arrays (16 bytes a walker) stay small.
@@ -225,18 +232,35 @@ class IndexedTree:
     (absent children hold).  Each outcome thus has exactly its Q
     probability.
 
-    ``jump_table[4^j k + c]``, for c in [0, 4^j), is 4^j times the node
-    reached from node k after ``jump`` = j Q moves whose draws are the
-    base-4 digits of c, most significant first.  Apart from that factor
-    it is ``flat_table`` composed with itself j times.  A uniform c has j
-    independent uniform digits, so an outcome's share of the 4^j columns
-    is exactly its probability under Q^j.  The factor 4^j pre-shifts each
-    outcome into the row offset of the next gather, so a walker's next
-    index is its state OR its code (see ``_advance``).
-    j is the largest value up to 8 whose table, K 4^j entries for K
-    nodes, stays within 2^15 entries: j = 7 up to 2 nodes, 6 up to 8,
-    5 up to 32, 4 up to 128, 3 up to 512, 2 up to 2048; trees above 2048
-    nodes walk with j = 1.
+    The walk moves by jumps of ``jump`` = J moves, drawn from guide
+    tables of 2^g buckets a row (g = ``bits``), one uniform 32-bit code a
+    draw (see ``_jump``).  Row k of ``jump_table`` samples the law of
+    Q^J from node k, and row r of ``remainder_table``, for r < J, the law
+    of Q^r from the root.  Every table holds at most ``_TABLE_ENTRIES``
+    = 2^15 entries, which sets g and J for K nodes:
+
+    * K <= 32: J = 16 and 2^g = 2^15 / max(K, 16) buckets (2^11 up to 16
+      nodes, 2^10 up to 32).  The rows are the exact integer rows of
+      (4Q)^16, and of (4Q)^r (root, .) 4^(16 - r), each summing to
+      4^16 = 2^32, and code c goes to the target t whose integer CDF
+      interval [ends[t - 1], ends[t]) holds c, so each target has exactly
+      its probability.  A bucket holds the 2^(32 - g) codes that share
+      their top g bits; one that lies inside one target's interval is
+      that target, and one that straddles two or more targets is
+      resolved against the row's CDF, ``jump_bounds`` or
+      ``remainder_bounds``.
+    * K > 32: J = j, the largest value whose table of K 4^j entries fits
+      2^15 (4 up to 128 nodes, 3 up to 512, 2 up to 2048, and 1 above),
+      and 2^g = 4^j.  Row k of ``jump_table`` is then ``flat_table``
+      composed j times from node k, column c the node reached by the j
+      moves whose draws are the base-4 digits of c, most significant
+      first, so a uniform c has the law of Q^j; remainder row r reads
+      the top r digits only.  No bucket straddles, and the bounds are
+      empty.
+
+    Table entries are 2^g times the node reached, pre-shifted into the
+    row offset of the next draw; a straddling bucket of row k holds
+    -1 - k instead.
     """
 
     def __init__(self, tree: BranchingTree, max_depth: int | None = None):
@@ -251,58 +275,104 @@ class IndexedTree:
             table[i] = (parent, parent, index.get(p + (0,), i), index.get(p + (1,), i))
         self.flat_table = table.ravel()
         self.root = index[ROOT]
-        jump, self.jump = table, 1
-        while self.jump < _MAX_JUMP and k * 4 ** (self.jump + 1) <= _TABLE_ENTRIES:
-            jump = table[jump].reshape(k, -1)
-            self.jump += 1
-        self.jump_table = (jump << 2 * self.jump).ravel()
+        # A long jump's remainder table has J rows, so max(K, J) rows share the cap.
+        bits = (_TABLE_ENTRIES // max(k, _LONG_JUMP)).bit_length() - 1
+        if bits >= _MIN_GUIDE_BITS:
+            self.jump, self.bits = _LONG_JUMP, bits
+            # one = 4Q, the move counts of each row's four draws.
+            one = np.zeros((k, k), dtype=np.int64)
+            np.add.at(one, (np.arange(k).repeat(4), self.flat_table), 1)
+            # Row r is 2^32 Q^r(root, .), an integer row as 4^r Q^r is one.
+            reach = np.zeros((_LONG_JUMP, k), dtype=np.int64)
+            reach[0, self.root] = 1 << 32
+            for r in range(1, _LONG_JUMP):
+                reach[r] = reach[r - 1] @ one // 4
+            self.jump_table, self.jump_bounds = _guide(np.linalg.matrix_power(one, _LONG_JUMP), bits)
+            self.remainder_table, self.remainder_bounds = _guide(reach, bits)
+        else:
+            self.jump = max(1, bits // 2)
+            self.bits = 2 * self.jump
+            level, levels = np.array([self.root]), []
+            jump = table
+            for r in range(self.jump):
+                levels.append(level.repeat(4 ** (self.jump - r)))
+                level = table[level].ravel()
+                if r:
+                    jump = table[jump].reshape(k, -1)
+            self.jump_table = (jump << self.bits).ravel()
+            self.remainder_table = (np.concatenate(levels) << self.bits).astype(np.int32)
+            self.jump_bounds = self.remainder_bounds = np.empty(0, dtype=np.int64)
 
     def walk_batch(self, n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
         """Final node indices (int32) of ``n_walkers`` independent ``steps``-step lazy walks from the root.
 
         Because P = (I + Q) / 2, the binomial theorem gives
         P^T = sum_k C(T, k) 2^-T Q^k: T lazy steps have exactly the law
-        of k ~ Binomial(T, 1/2) moves of Q.  So each walker draws its own
-        k and walks q = k // j gathers on the j-step table, then
-        r = k % j moves on the one-step table.  Every walker starts at
-        the root, so the move counts can be sorted without carrying any
-        state along.  Walked in that order, the walkers still moving at
-        each gather are a suffix of the state, and those of one q that
-        still owe an s-th leftover move are one contiguous slice.  A
-        final ``rng.shuffle`` makes the walkers exchangeable again, so
-        any fixed split of the result into rows gives independent rows.
+        of k ~ Binomial(T, 1/2) moves of Q.  Each walker draws its own k,
+        and since Q^k = Q^r (Q^J)^q for r = k mod J and q = k div J, it
+        makes one draw from the root's remainder row r and then q jumps
+        (see ``IndexedTree``).  Every walker starts at the root, so the
+        move counts can be sorted without carrying any state along; walked
+        in that order, the walkers that make a p-th jump are a suffix of
+        the state, and each jump pass moves one suffix.  A final
+        ``rng.shuffle`` makes the walkers exchangeable again, so any fixed
+        split of the result into rows gives independent rows.  On a
+        one-node tree every walk ends at the root, and nothing is drawn.
 
-        A call costs about ``n_walkers * steps / (2 j)`` gathered entries
-        plus a fixed numpy cost per gather; ``estimate_alpha`` therefore
-        walks many repetitions per call.  Memory is 4 bytes a walker of
-        state, then 8 of move counts, freed before the 8 of gather index
-        are allocated, and a draw block of 2 bytes a code,
-        max(2^15, ``n_walkers``) codes.
+        A call draws ``n_walkers`` move counts, then ceil(w / 2) 64-bit
+        words for each pass of w walkers: one remainder pass over all of
+        them and about ``steps / (2 J)`` jump passes.  Memory is 4 bytes
+        a walker of state, then 8 of move counts, freed before the 8 of
+        gather index are allocated, and 4 of codes and 1 of straddle mask
+        for each pass, whatever ``steps`` is.
         """
         state = np.full(n_walkers, self.root, dtype=np.int32)
-        if not (n_walkers and steps):
+        if not (n_walkers and steps) or len(self.nodes) == 1:
             return state
-        j = self.jump
+        j, bits = self.jump, self.bits
         moves = _sorted_moves(n_walkers, steps, rng)
         low, high = int(moves[0]) // j, int(moves[-1]) // j
-        # edges[x] is the number of walkers with fewer than low j + x moves.
-        edges = np.searchsorted(
-            moves, np.arange(low * j, (high + 1) * j + 1, dtype=np.int64)
-        ).tolist()
+        # Jump p moves the walkers with more than p j moves: all of them
+        # for p < low, and from starts[p - low] on for later p.
+        starts = np.searchsorted(moves, np.arange(low + 1, high + 1, dtype=np.int64) * j).tolist()
+        np.remainder(moves, j, out=state)
         # Free the move counts before the gather index is allocated.
         del moves
+        state <<= bits
         index = np.empty(n_walkers, dtype=np.intp)
-        # Gather g moves the walkers with more than g full gathers.
-        full = ((edges[max(0, g + 1 - low) * j], n_walkers) for g in range(high))
-        _advance(state, index, self.jump_table, 2 * j, full, rng)
-        leftover = (
-            (edges[(q - low) * j + s], edges[(q - low + 1) * j])
-            for q in range(low, high + 1)
-            for s in range(1, j)
-        )
-        _advance(state, index, self.flat_table << 2, 2, leftover, rng)
+        _jump(state, index, self.remainder_table, self.remainder_bounds, len(self.nodes), bits, rng)
+        for p in range(high):
+            lo = starts[p - low] if p >= low else 0
+            _jump(state[lo:], index[lo:], self.jump_table, self.jump_bounds, len(self.nodes), bits, rng)
+        state >>= bits
         rng.shuffle(state)
         return state
+
+
+def _guide(counts: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Guide table (int32) and search bounds (int64) of integer rows that each sum to 2^32.
+
+    Target t of row k takes the codes in [ends[t - 1], ends[t]), ends the
+    row's cumulative counts, so a uniform 32-bit code reaches it with
+    probability counts[k, t] / 2^32.  Bucket b of a row holds the codes
+    [b s, (b + 1) s), s = 2^(32 - bits), and straddles when some end lies
+    strictly inside it, at b = ends[t] // s with ends[t] % s > 0.  Its
+    guide entry is 2^bits times the target of its first code, or -1 - k
+    when it straddles.  The bounds are k 2^32 + ends[t] at k K + t, one
+    increasing run over all rows, so
+    ``searchsorted(bounds, k 2^32 + c, side="right")`` is k K plus the
+    target of code c in row k.  Every temporary but the guide itself is
+    a K-wide row, so a build allocates little beyond the table.
+    """
+    rows, width = counts.shape
+    span = 1 << (32 - bits)
+    ends = np.cumsum(counts, axis=1)
+    # Bucket starts in [ends[t - 1], ends[t]) number ceil(ends[t] / s) - ceil(ends[t - 1] / s).
+    firsts = np.diff(-(-ends // span), axis=1, prepend=0)
+    guide = np.tile(np.arange(width, dtype=np.int32) << bits, rows).repeat(firsts.ravel())
+    row, inner = np.nonzero(ends % span)
+    guide[(row << bits) + ends[row, inner] // span] = -1 - row
+    return guide, (ends + (np.arange(rows, dtype=np.int64)[:, None] << 32)).ravel()
 
 
 def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
@@ -316,41 +386,33 @@ def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.nd
     return moves
 
 
-def _advance(state, index, table, bits, slices, rng) -> None:
-    """Move ``state[lo:hi]`` by one lookup of ``table`` for each (lo, hi) in ``slices``.
+def _jump(state, index, table, bounds, width, bits, rng) -> None:
+    """Move every walker of ``state`` by one draw from its row of guide table ``table``.
 
-    ``table`` holds each outcome pre-shifted by ``bits`` = 2j bits for a
-    j-move table (4^j times its node).  While it walks, ``state`` holds
-    shifted nodes, so one ``bitwise_or`` with a 2j-bit code forms the
-    gather index 4^j k + c.  The index is ``np.intp`` and the state stays
-    int32: ``np.take`` converts any other index to ``intp`` first, which
-    made a gather about 1.6x slower with an int32 index.  Slices are
-    views, so a gather allocates nothing.
-
-    Codes are drawn in blocks of at least ``_BLOCK_CODES`` and of at
-    least the widest slice they serve, as full-range uint64 words cut
-    into uint16 lanes by ``_cut_codes``; a slice wider than what is left
-    of a block starts a new block.  That is a quarter of a 64-bit draw
-    per code: about 1.6 ns, against 6 ns for a bounded uint16 draw
-    (2-core Xeon, numpy 2.4).
+    ``state`` (int32) holds each walker's row pre-shifted, 2^``bits``
+    times it, and gets the target pre-shifted the same way, in place.
+    Each walker's code is one 32-bit lane of ceil(n / 2) full-range
+    uint64 words drawn for the n walkers, so it is exactly uniform on
+    [0, 2^32) and independent of every other code.  Its top ``bits``
+    bits pick the bucket: one OR forms the gather index 2^bits k + b, an
+    ``np.intp`` index (``np.take`` converts any other index to ``intp``
+    first, which made a gather about 1.6x slower with an int32 index).
+    A straddling bucket gathers -1 - k, and those walkers, a few percent
+    at most, look their code up in ``bounds`` (see ``_guide``), a row of
+    ``width`` targets a row.
     """
-    state <<= bits
-    codes, used = np.empty(0, dtype=np.uint16), 0
-    for lo, hi in slices:
-        width = hi - lo
-        if not width:
-            continue
-        if used + width > len(codes):
-            # Free the spent block before the next one is drawn.
-            codes, used = None, 0
-            words = -(-max(width, _BLOCK_CODES) // 4)
-            codes = _cut_codes(rng.integers(0, 1 << 64, size=words, dtype=np.uint64), bits)
-        np.bitwise_or(state[lo:hi], codes[used : used + width], out=index[lo:hi])
-        # Every index is in range, so the mode changes no result;
-        # "wrap" gathered fastest and, like "clip", needs no bounds buffer.
-        np.take(table, index[lo:hi], out=state[lo:hi], mode="wrap")
-        used += width
-    state >>= bits
+    n = len(state)
+    codes = rng.integers(0, 1 << 64, size=-(-n // 2), dtype=np.uint64).view(np.uint32)[:n]
+    np.right_shift(codes, 32 - bits, out=index)
+    np.bitwise_or(index, state, out=index)
+    # Every index is in range, so the mode changes no result; "wrap"
+    # gathered fastest and, like "clip", needs no bounds buffer.
+    np.take(table, index, out=state, mode="wrap")
+    straddle = np.flatnonzero(state < 0)
+    if straddle.size:
+        row = -1 - state[straddle].astype(np.int64)
+        target = np.searchsorted(bounds, (row << 32) | codes[straddle], side="right") - row * width
+        state[straddle] = target << bits
 
 
 def _cut_codes(words: np.ndarray, bits: int) -> np.ndarray:
@@ -391,7 +453,7 @@ class _GrownRows:
     the root's row and ``walk_batch`` walks from it, so
     ``_batched_root_hits`` takes either walker.
 
-    Laid out like ``IndexedTree.flat_table`` pre-shifted for ``_advance``:
+    Laid out like ``IndexedTree.flat_table`` with its entries pre-shifted:
     ``table[4 k + c]`` is 4 times the row reached from row k by the Q move
     whose code is c in {0..3} (0 and 1 to the parent, 2 to the left child,
     3 to the right child; a hold is 4 k), so a code means the same move
@@ -403,6 +465,9 @@ class _GrownRows:
     ``tree.children`` query fills both child columns, appending a row for
     each child present.  So the tree is asked once per node the walk
     reaches with a child move, and never about a node of depth i or below.
+    The root's row is expanded first, as the first child move of any walk
+    is made there; so the walker knows before it walks whether the root
+    has a child in S_i at all.
     """
 
     root = 0
@@ -410,6 +475,7 @@ class _GrownRows:
     def __init__(self, tree: BranchingTree, depth: int, planned_steps: int):
         self.tree, self.depth, self.planned_steps = tree, depth, planned_steps
         self.table = [0, 0, -1, -1]
+        self._expand(0)
 
     def walk_batch(self, n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
         """Final row offsets (int32) of ``n_walkers`` independent ``steps``-step lazy walks from the root.
@@ -425,8 +491,11 @@ class _GrownRows:
         do the walks.  The walks run one after another on their own
         draws, so the finals are independent in draw order, with no sort
         and no shuffle.  Memory is the listed move counts, the finals and
-        one block of codes, whatever T is.
+        one block of codes, whatever T is.  When the root has no child in
+        S_i, every walk holds there, and nothing is drawn.
         """
+        if len(self.table) == 4:
+            return np.full(n_walkers, self.root, dtype=np.int32)
         moves = rng.binomial(steps, 0.5, size=n_walkers).tolist()
         words = -(-sum(moves) // 4)
         sizes = (min(_BLOCK_WORDS, words - w) for w in range(0, words, _BLOCK_WORDS))

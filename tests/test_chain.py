@@ -37,7 +37,7 @@ from totpcount import (
     truncate,
     tv_distance,
 )
-from totpcount import chain
+from totpcount import chain, cli, estimator
 from totpcount.chain import (
     IndexedTree,
     repetitions_for,
@@ -300,30 +300,90 @@ def test_lazy_steps_are_binomially_many_non_lazy_moves(tree):
         assert thinned == lazy_power
 
 
-@pytest.mark.parametrize("jump", range(1, chain._MAX_JUMP + 1))
+def _codes_per_target(table, bounds, bits, row, width):
+    """Codes of [0, 2^32) that each target of one guide row gets, counted through guide and CDF.
+
+    A pure bucket gives all of its 2^(32 - bits) codes to the target its
+    entry names; a straddling bucket (entry -1 - row) splits its codes by
+    the row's integer CDF.  Also returns the number of straddling buckets.
+    """
+    span = 1 << (32 - bits)
+    entries = table[row << bits : (row + 1) << bits].astype(np.int64)
+    counts = np.zeros(width, dtype=np.int64)
+    pure = entries >= 0
+    np.add.at(counts, entries[pure] >> bits, span)
+    straddling = np.flatnonzero(~pure)
+    assert np.all(entries[straddling] == -1 - row)
+    if straddling.size:
+        ends = bounds[row * width : (row + 1) * width] - (row << 32)
+        starts = np.concatenate([[0], ends[:-1]])
+        for b in straddling.tolist():
+            lo, hi = b * span, (b + 1) * span
+            counts += np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0, None)
+    return counts, straddling.size
+
+
+# J = 16 at the default constants, and each j of the short jump: a cap of
+# max(K, 16) 4^j entries leaves 4^j buckets a row, and a guide of more
+# than 2j bits turns the long jump off.
+JUMPS = [*range(1, 9), 16]
+
+
+def _indexed_at_jump(tree, jump, monkeypatch):
+    if jump != 16:
+        monkeypatch.setattr(chain, "_MIN_GUIDE_BITS", 2 * jump + 1)
+        monkeypatch.setattr(chain, "_TABLE_ENTRIES", max(len(tree.nodes), 16) * 4**jump)
+    indexed = IndexedTree(tree)
+    assert indexed.jump == jump
+    return indexed
+
+
+@pytest.mark.parametrize("jump", JUMPS)
 @pytest.mark.parametrize("tree", SMALL_TREES, ids=lambda t: f"{len(t.nodes)}nodes")
 def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
     k = len(tree.nodes)
-    monkeypatch.setattr(chain, "_TABLE_ENTRIES", k * 4**jump)
-    indexed = IndexedTree(tree)
-    assert indexed.jump == jump
-    # Entries are pre-shifted: 4^j times the node reached.
-    outcomes = indexed.jump_table.reshape(k, 4**jump) >> 2 * jump
+    indexed = _indexed_at_jump(tree, jump, monkeypatch)
+    straddles = 0
+    for row, exact in enumerate(_exact_power(tree, jump, lazy=False)):
+        counts, straddled = _codes_per_target(
+            indexed.jump_table, indexed.jump_bounds, indexed.bits, row, k
+        )
+        assert [Fraction(int(c), 2**32) for c in counts] == exact
+        straddles += straddled
+    if jump == 16 and k > 1:
+        # Some bucket straddles two targets, so the CDF fix-up is exercised.
+        assert straddles > 0
+    if jump < 16:
+        assert straddles == 0 and indexed.bits == 2 * jump
     if jump == 1:
-        assert np.array_equal(outcomes.ravel(), indexed.flat_table)
-    for row, exact in zip(outcomes, _exact_power(tree, jump, lazy=False)):
-        counts = np.bincount(row, minlength=k)
-        assert [Fraction(int(c), 4**jump) for c in counts] == exact
+        assert np.array_equal(indexed.jump_table >> 2, indexed.flat_table)
+
+
+@pytest.mark.parametrize("jump", JUMPS)
+@pytest.mark.parametrize("tree", SMALL_TREES, ids=lambda t: f"{len(t.nodes)}nodes")
+def test_remainder_rows_have_the_exact_r_step_law_from_the_root(tree, jump, monkeypatch):
+    k = len(tree.nodes)
+    indexed = _indexed_at_jump(tree, jump, monkeypatch)
+    assert indexed.remainder_table.size == jump << indexed.bits
+    for r in range(jump):
+        counts, _ = _codes_per_target(
+            indexed.remainder_table, indexed.remainder_bounds, indexed.bits, r, k
+        )
+        if r:
+            exact = _exact_power(tree, r, lazy=False)[indexed.root]
+        else:
+            exact = [Fraction(int(c == indexed.root)) for c in range(k)]
+        assert [Fraction(int(c), 2**32) for c in counts] == exact
 
 
 @pytest.mark.parametrize(
     "tree, jump",
     [
-        (ExplicitTree([()]), 7),
-        (ExplicitTree([(), (1,)]), 7),
-        (SMALL_TREES[-1], 6),
-        (ExplicitTree(full_binary_tree(2).nodes | {(0, 0, 0), (0, 0, 1)}), 5),
-        (full_binary_tree(4), 5),
+        (ExplicitTree([()]), 16),
+        (ExplicitTree([(), (1,)]), 16),
+        (SMALL_TREES[-1], 16),
+        (ExplicitTree(full_binary_tree(2).nodes | {(0, 0, 0), (0, 0, 1)}), 16),
+        (full_binary_tree(4), 16),
         (full_binary_tree(5), 4),
         (full_binary_tree(6), 4),
         (full_binary_tree(8), 3),
@@ -334,8 +394,14 @@ def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
 )
 def test_jump_length_follows_the_table_cap(tree, jump):
     indexed = IndexedTree(tree)
+    k = len(tree.nodes)
     assert indexed.jump == jump
-    assert indexed.jump_table.size == len(tree.nodes) * 4**jump
+    # 2^11 buckets a row up to 16 nodes and 2^10 up to 32; 4^j above.
+    assert indexed.bits == (11 if k <= 16 else 10 if k <= 32 else 2 * jump)
+    assert indexed.jump_table.size == k << indexed.bits
+    assert indexed.remainder_table.size == jump << indexed.bits
+    tables = (indexed.jump_table, indexed.remainder_table, indexed.jump_bounds, indexed.remainder_bounds)
+    assert all(table.size <= 2**15 for table in tables)
 
 
 def _walk_law_distance(tree, walkers, steps, rng):
@@ -354,10 +420,10 @@ def test_walk_batch_zero_steps_stays_at_root(rng):
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 6, 7, 13, 20])
 def test_walk_batch_leftover_steps(steps, rng, monkeypatch):
-    # Six moves per gather here, so every walker whose binomial move count
-    # is not a multiple of six makes leftover moves.
+    # Sixteen moves per jump here, so every walker whose binomial move
+    # count is not a multiple of sixteen draws from a remainder row.
     tree = full_binary_tree(1)
-    assert IndexedTree(tree).jump == 6
+    assert IndexedTree(tree).jump == 16
     drawn = []
     sorted_moves = chain._sorted_moves
 
@@ -368,25 +434,80 @@ def test_walk_batch_leftover_steps(steps, rng, monkeypatch):
     monkeypatch.setattr(chain, "_sorted_moves", recorded)
     assert _walk_law_distance(tree, 100_000, steps, rng) < 0.01
     (moves,) = drawn
-    assert np.count_nonzero(moves % 6) > 0
-    if steps >= 13:
-        assert np.count_nonzero((moves >= 6) & (moves % 6 > 0)) > 0
+    assert np.count_nonzero(moves % 16) > 0
+    if steps > 16:
+        assert np.count_nonzero((moves >= 16) & (moves % 16 > 0)) > 0
 
 
-def test_walk_batch_single_node_tree(rng):
-    indexed = IndexedTree(ExplicitTree([()], height=3))
-    assert np.array_equal(indexed.walk_batch(20, 13, rng), np.zeros(20))
+def test_walk_batch_single_node_tree():
+    indexed, spy = IndexedTree(ExplicitTree([()], height=3)), _SpyRng(0)
+    assert np.array_equal(indexed.walk_batch(20, 13, spy), np.zeros(20))
+    # Every walk holds at the root, so nothing is drawn.
+    assert spy.moves == spy.words == []
 
 
 def test_walk_batch_wider_than_a_draw_block(rng):
-    walkers = chain._BLOCK_CODES + 1001
+    # Each pass draws its own codes, however wide it is.
+    walkers = 2**15 + 1001
     assert _walk_law_distance(full_binary_tree(2), walkers, 9, rng) < 0.015
 
 
 def test_walk_batch_spans_several_draw_blocks(rng):
-    # 1000 walkers take 32 gathers per block.  Six moves a gather out of
-    # about 203 moves a walker make some 34 gathers: two blocks.
+    # About 203 moves a walker: about 12 jump passes of sixteen moves
+    # after the remainder pass, each drawing its own codes.
     assert _walk_law_distance(full_binary_tree(2), 1000, 4 * 101 + 3, rng) < 0.05
+
+
+# Trees of 1, 2, 11 and 32 rows: the 32-row tree is the largest that
+# jumps sixteen moves, on 2^10 guide buckets a row.
+Z_TREES = [
+    ExplicitTree([()], height=2),
+    ExplicitTree([(), (1,)]),
+    ExplicitTree(full_binary_tree(2).nodes | {(0, 0, 0), (0, 0, 1), (1, 1, 0), (0, 0, 1, 1)}),
+    ExplicitTree(full_binary_tree(4).nodes | {(1, 1, 1, 1, 1)}),
+]
+
+
+@pytest.mark.parametrize("steps", [7, 61, 300, 3206])
+@pytest.mark.parametrize("tree", Z_TREES, ids=lambda t: f"{len(t.nodes)}rows")
+def test_walk_batch_ends_at_each_node_with_its_exact_t_step_probability(tree, steps):
+    indexed = IndexedTree(tree)
+    rng = np.random.default_rng(steps * 100 + len(tree.nodes))
+    walkers, width = 2**17, 2**15
+    finals = np.concatenate([indexed.walk_batch(width, steps, rng) for _ in range(walkers // width)])
+    counts = np.bincount(finals, minlength=len(indexed.nodes))
+    exact = np.linalg.matrix_power(np.array(_exact_matrix(tree), dtype=float), steps)[indexed.root]
+    reached = exact > 0
+    assert np.all(counts[~reached] == 0)
+    p = exact[reached]
+    z = (counts[reached] - walkers * p) / np.sqrt(walkers * p * (1 - p) + (p == 1))
+    assert np.abs(z).max() <= 5, z
+
+
+@pytest.mark.parametrize("steps", [5, 40, 407, 3206])
+@pytest.mark.parametrize("tree", [full_binary_tree(2), full_binary_tree(6)], ids=["7nodes", "127nodes"])
+def test_walk_batch_draws_exactly_the_code_words_it_uses(tree, steps):
+    indexed, walkers = IndexedTree(tree), 3001
+    spy = _SpyRng(steps)
+    indexed.walk_batch(walkers, steps, spy)
+    (moves,) = spy.moves
+    j = indexed.jump
+    # Half a word a walker for the remainder pass, then for jump p the
+    # walkers with at least p j moves.
+    widths = [walkers] + [int(np.count_nonzero(moves >= p * j)) for p in range(1, int(moves.max()) // j + 1)]
+    assert spy.words == [-(-w // 2) for w in widths]
+
+
+def test_walk_batch_memory_does_not_grow_with_the_walk(rng):
+    indexed = IndexedTree(full_binary_tree(4))
+    peaks = []
+    for steps in (3206, 10 * 3206):
+        indexed.walk_batch(2**15, steps, rng)
+        tracemalloc.start()
+        indexed.walk_batch(2**15, steps, rng)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
 
 
 def test_walk_batch_rows_are_exchangeable(rng):
@@ -403,7 +524,7 @@ def test_walk_batch_rows_are_exchangeable(rng):
         assert abs(np.mean(row == indexed.root) - exact) <= 4 * sigma
 
 
-@pytest.mark.parametrize("jump", range(1, chain._MAX_JUMP + 1))
+@pytest.mark.parametrize("jump", range(1, 9))
 def test_cut_codes_are_the_low_bits_of_each_lane(jump):
     bits = 2 * jump
     words = np.array(
@@ -786,6 +907,9 @@ class _SpyRng:
         self.words.append(size)
         return self.rng.integers(low, high, size=size, dtype=dtype)
 
+    def shuffle(self, x):
+        self.rng.shuffle(x)
+
 
 @pytest.mark.parametrize(
     "tree",
@@ -815,6 +939,10 @@ def test_uniform_blocks_of_any_size_give_the_same_walk(tree, monkeypatch):
     for i in range(1, tree.height + 1):
         spy = _SpyRng(i)
         estimate_alpha(tree, i, zeta, delta, burn_const, rng=spy)
+        if not tree.children(()):
+            # A bare root: every walk holds there, and nothing is drawn.
+            assert spy.moves == spy.words == []
+            continue
         # The words of the longest walk: caps below it split that walk.
         longest = -(-max(int(moves.max()) for moves in spy.moves) // 4)
         assert longest >= 2
@@ -848,6 +976,24 @@ def test_grown_rows_move_as_lazy_step_at_the_interval_ends(tree):
                 assert to == indexed.nodes[indexed.flat_table[4 * k + c]]
                 for u in (c / 8, float(np.nextafter((c + 1) / 8, 0.0))):
                     assert to == lazy_step(children, node, u, i)
+
+
+def test_a_bare_root_walks_nothing(tmp_path, monkeypatch):
+    # One empty term over no variables accepts everything, and its tree is
+    # the root alone: every walk holds there, so no code word is drawn,
+    # while the record still reports the schedule's planned steps.
+    dnf = tmp_path / "bare.dnf"
+    dnf.write_text("p dnf 0 1\n0\n")
+    spies = []
+
+    def spy_rng(seed, *key):
+        spies.append(_SpyRng(seed))
+        return spies[-1]
+
+    monkeypatch.setattr(estimator, "derived_rng", spy_rng)
+    record = cli.run_capp("dnf", str(dnf), 0.1, 0.1, 1)
+    assert record["p_hat"] == 1.0 and record["steps"] > 0
+    assert spies and all(spy.words == [] for spy in spies)
 
 
 @pytest.mark.parametrize("n", [1, 23, 1000])

@@ -209,10 +209,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 16.0,
-        "estimate": 12.020909075816832,
-        "estimate_clamped": 12,
-        "fraction": 0.751306817238552,
-        "fraction_clamped": 0.751306817238552,
+        "estimate": 10.951497837866249,
+        "estimate_clamped": 11,
+        "fraction": 0.6844686148666406,
+        "fraction_clamped": 0.6844686148666406,
         "height": 4,
         "mode": "telescoping",
         "params": {
