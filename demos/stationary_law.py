@@ -9,8 +9,9 @@ compares against frequencies from a batch of walks.
 import numpy as np
 
 from totpcount import full_binary_tree, random_tree, stationary_exact, truncate
-from totpcount.chain import IndexedTree, burn_in_steps, root_mass_exact
+from totpcount.chain import IndexedTree, burn_in_steps
 from totpcount.estimator import telescoped_size
+from totpcount.oracles import root_mass_exact
 
 rng = np.random.default_rng(7)
 

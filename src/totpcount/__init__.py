@@ -11,15 +11,7 @@ CNF, and monotone circuits.
 """
 
 from .capp import CappResult, GapVerdict, capp, gap_csat
-from .chain import (
-    AlphaEstimate,
-    burn_in_steps,
-    estimate_alpha,
-    lazy_step,
-    root_mass_exact,
-    stationary_exact,
-    transition_matrix_exact,
-)
+from .chain import AlphaEstimate, burn_in_steps, estimate_alpha, lazy_step
 from .errors import (
     MalformedInstanceError,
     NotInTreeError,
@@ -56,6 +48,9 @@ from .oracles import (
     count_sat,
     exact_conductance,
     materialize_tree,
+    root_mass_exact,
+    stationary_exact,
+    transition_matrix_exact,
     tv_distance,
 )
 from .problems import (

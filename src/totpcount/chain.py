@@ -14,23 +14,22 @@ theorem P^T = sum_k C(T, k) 2^-T Q^k, so a walk of T lazy steps has
 exactly the law of k ~ Binomial(T, 1/2) moves of Q.  The vectorized
 walker for explicit trees walks only those moves, by the law
 Q^k = Q^r (Q^J)^q, r = k mod J, q = k div J: one draw from the root's
-row of Q^r, then q jumps of J moves.  Every Q probability is a multiple
-of 1/4, so 4^J Q^J is an integer matrix whose rows sum to 4^J, and each
-draw is one uniform 32-bit code, the lane of a full-range 64-bit word,
-sampled through an exact integer CDF of its row: a guide table of 2^g
-buckets a row gives the target of each bucket that lies inside one
-target's codes, and the row's CDF resolves the codes of a bucket that
-straddles two targets (see ``IndexedTree`` and ``_jump``).  J = 16
-while a row has at least 2^10 buckets, which is every tree of at most
-32 nodes; on larger trees J is the largest j whose 4^j buckets a row
-fit the table cap, and no bucket straddles.  Its ``walk_batch`` walks
-the walkers sorted by their move counts, so the walkers that make each
-jump form one suffix, and shuffles the finals at the end.
+row of Q^r, on every tree, then q jumps of J moves.  Every Q probability
+is a multiple of 1/4, so 4^J Q^J is an integer matrix whose rows sum to
+4^J, and each draw is one uniform 32-bit code, the lane of a full-range
+64-bit word, sampled through an exact integer CDF of its row: a guide
+table of 2^g buckets a row gives the target of each bucket that lies
+inside one target's codes, and the row's CDF resolves the codes of a
+bucket that straddles two targets (see ``IndexedTree`` and ``_jump``).
+J = 16 while a row has at least 2^10 buckets, which is every tree of at
+most 32 nodes; on larger trees J is the largest j whose 4^j buckets a
+row fit the table cap, and no bucket straddles.  Its ``walk_batch``
+walks the walkers sorted by their move counts, so the walkers that make
+each jump form one suffix, and shuffles the finals at the end.
 ``estimate_alpha`` walks all t repetitions of m samples of a depth
-together, in the fewest ``walk_batch`` calls of at most 2^15 walkers
-that hold whole repetitions (a wider repetition walks alone, in calls of
-at most 2^15), and splits each call's finals back into per-repetition
-root-hit counts (``_batched_root_hits``).  That one sampling path takes
+together, in consecutive ``walk_batch`` calls of 2^15 walkers (the last
+one shorter), and credits each call's root hits to the repetition of
+each draw position (``_batched_root_hits``).  That one sampling path takes
 either walker.  On an oracle-backed tree the walker draws the same move
 counts, one ``rng.binomial`` call per batch, then one lazily drawn stream
 of 2-bit codes, one a move, and walks the samples one after another from
@@ -56,8 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -151,47 +149,6 @@ def lazy_step(
     return node
 
 
-def stationary_exact(tree: ExplicitTree) -> dict[NodePath, Fraction]:
-    """Exact stationary law pi(i) = 2^(n - depth(i)) / W, W = sum of weights."""
-    if tree.is_empty:
-        raise ValueError("the stationary law of an empty tree is undefined")
-    n = tree.height
-    weights = {node: 1 << (n - len(node)) for node in tree.nodes}
-    total = sum(weights.values())
-    return {node: Fraction(w, total) for node, w in weights.items()}
-
-
-def root_mass_exact(tree: ExplicitTree) -> Fraction:
-    """pi(root) without building the full map."""
-    if tree.is_empty:
-        raise ValueError("empty tree")
-    n = tree.height
-    total = sum(1 << (n - len(node)) for node in tree.nodes)
-    return Fraction(1 << n, total)
-
-
-def transition_matrix_exact(tree: ExplicitTree, lazy: bool = True):
-    """Dense transition matrix of the walk as exact rationals.
-
-    Returns (ordered node list, matrix as list of row dicts node->Fraction).
-    """
-    if tree.is_empty:
-        raise ValueError("empty tree")
-    nodes = sorted(tree.nodes, key=lambda p: (len(p), p))
-    up = Fraction(1, 4) if lazy else Fraction(1, 2)
-    down = Fraction(1, 8) if lazy else Fraction(1, 4)
-    rows: list[dict[NodePath, Fraction]] = []
-    for node in nodes:
-        row: dict[NodePath, Fraction] = {}
-        if node:
-            row[node[:-1]] = up
-        for child in tree.children(node):
-            row[child] = down
-        row[node] = row.get(node, Fraction(0)) + (1 - sum(row.values()))
-        rows.append(row)
-    return nodes, rows
-
-
 # ---------------------------------------------------------------------------
 # batched walking on explicit trees
 
@@ -206,9 +163,9 @@ _LONG_JUMP = 16
 # Below it a bucket straddles targets too often; the walk then jumps
 # j moves on 4^j buckets, which never straddle.
 _MIN_GUIDE_BITS = 10
-# Walkers per walk_batch call when estimate_alpha batches repetitions:
-# wide enough to spread numpy's per-call cost over many walkers, small
-# enough that the walker arrays (16 bytes a walker) stay small.
+# Walkers per walk_batch call of ``_batched_root_hits``: wide enough to
+# spread numpy's per-call cost over many walkers, small enough that the
+# walker arrays (16 bytes a walker) stay small.
 _BATCH_WALKERS = 1 << 15
 
 
@@ -236,27 +193,32 @@ class IndexedTree:
     tables of 2^g buckets a row (g = ``bits``), one uniform 32-bit code a
     draw (see ``_jump``).  Row k of ``jump_table`` samples the law of
     Q^J from node k, and row r of ``remainder_table``, for r < J, the law
-    of Q^r from the root.  Every table holds at most ``_TABLE_ENTRIES``
-    = 2^15 entries, which sets g and J for K nodes:
+    of Q^r from the root.  The tables hold at most ``_TABLE_ENTRIES``
+    = 2^15 entries up to 8192 nodes, which sets g and J for K nodes:
 
     * K <= 32: J = 16 and 2^g = 2^15 / max(K, 16) buckets (2^11 up to 16
-      nodes, 2^10 up to 32).  The rows are the exact integer rows of
-      (4Q)^16, and of (4Q)^r (root, .) 4^(16 - r), each summing to
-      4^16 = 2^32, and code c goes to the target t whose integer CDF
-      interval [ends[t - 1], ends[t]) holds c, so each target has exactly
-      its probability.  A bucket holds the 2^(32 - g) codes that share
-      their top g bits; one that lies inside one target's interval is
-      that target, and one that straddles two or more targets is
-      resolved against the row's CDF, ``jump_bounds`` or
-      ``remainder_bounds``.
+      nodes, 2^10 up to 32), and the jump rows are the exact integer rows
+      of (4Q)^16.
     * K > 32: J = j, the largest value whose table of K 4^j entries fits
-      2^15 (4 up to 128 nodes, 3 up to 512, 2 up to 2048, and 1 above),
-      and 2^g = 4^j.  Row k of ``jump_table`` is then ``flat_table``
-      composed j times from node k, column c the node reached by the j
-      moves whose draws are the base-4 digits of c, most significant
-      first, so a uniform c has the law of Q^j; remainder row r reads
-      the top r digits only.  No bucket straddles, and the bounds are
-      empty.
+      2^15 (4 up to 128 nodes, 3 up to 512, 2 up to 2048, and 1 above,
+      whose 4 K jump entries pass the cap past 8192 nodes), and
+      2^g = 4^j.  Row k of ``jump_table`` is then ``flat_table`` composed
+      j times from node k, column c the node reached by the j moves
+      whose draws are the base-4 digits of c, most significant first, so
+      a uniform c has the law of Q^j, and ``jump_bounds`` is empty.
+
+    On every tree, remainder row r is the integer row 2^32 Q^r(root, .),
+    which ``flat_table`` carries forward from the root one move at a
+    time.  An integer row sums to 2^32, and code c goes to the target t
+    whose integer CDF interval [ends[t - 1], ends[t]) holds c, so each
+    target has exactly its probability.  A bucket holds the 2^(32 - g)
+    codes that share their top g bits; one that lies inside one target's
+    interval is that target, and one that straddles two or more targets
+    is resolved against the row's CDF, ``jump_bounds`` or
+    ``remainder_bounds`` (see ``_guide``).  Above 32 nodes every count of
+    remainder row r is a multiple of 4^(16 - r), and so of the bucket
+    span 4^(16 - j): no bucket straddles, and ``remainder_bounds`` is
+    empty too.
 
     Table entries are 2^g times the node reached, pre-shifted into the
     row offset of the next draw; a straddling bucket of row k holds
@@ -277,31 +239,27 @@ class IndexedTree:
         self.root = index[ROOT]
         # A long jump's remainder table has J rows, so max(K, J) rows share the cap.
         bits = (_TABLE_ENTRIES // max(k, _LONG_JUMP)).bit_length() - 1
-        if bits >= _MIN_GUIDE_BITS:
-            self.jump, self.bits = _LONG_JUMP, bits
+        long_jump = bits >= _MIN_GUIDE_BITS
+        self.jump = _LONG_JUMP if long_jump else max(1, bits // 2)
+        self.bits = bits if long_jump else 2 * self.jump
+        # Row r is 2^32 Q^r(root, .), an integer row as 4^r Q^r is one:
+        # each node passes a quarter of its count along each of its draws.
+        reach = np.zeros((self.jump, k), dtype=np.int64)
+        reach[0, self.root] = 1 << 32
+        for r in range(1, self.jump):
+            np.add.at(reach[r], self.flat_table, (reach[r - 1] >> 2).repeat(4))
+        self.remainder_table, self.remainder_bounds = _guide(reach, self.bits)
+        if long_jump:
             # one = 4Q, the move counts of each row's four draws.
             one = np.zeros((k, k), dtype=np.int64)
             np.add.at(one, (np.arange(k).repeat(4), self.flat_table), 1)
-            # Row r is 2^32 Q^r(root, .), an integer row as 4^r Q^r is one.
-            reach = np.zeros((_LONG_JUMP, k), dtype=np.int64)
-            reach[0, self.root] = 1 << 32
-            for r in range(1, _LONG_JUMP):
-                reach[r] = reach[r - 1] @ one // 4
-            self.jump_table, self.jump_bounds = _guide(np.linalg.matrix_power(one, _LONG_JUMP), bits)
-            self.remainder_table, self.remainder_bounds = _guide(reach, bits)
+            self.jump_table, self.jump_bounds = _guide(np.linalg.matrix_power(one, _LONG_JUMP), self.bits)
         else:
-            self.jump = max(1, bits // 2)
-            self.bits = 2 * self.jump
-            level, levels = np.array([self.root]), []
             jump = table
-            for r in range(self.jump):
-                levels.append(level.repeat(4 ** (self.jump - r)))
-                level = table[level].ravel()
-                if r:
-                    jump = table[jump].reshape(k, -1)
+            for _ in range(1, self.jump):
+                jump = table[jump].reshape(k, -1)
             self.jump_table = (jump << self.bits).ravel()
-            self.remainder_table = (np.concatenate(levels) << self.bits).astype(np.int32)
-            self.jump_bounds = self.remainder_bounds = np.empty(0, dtype=np.int64)
+            self.jump_bounds = np.empty(0, dtype=np.int64)
 
     def walk_batch(self, n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
         """Final node indices (int32) of ``n_walkers`` independent ``steps``-step lazy walks from the root.
@@ -361,16 +319,21 @@ def _guide(counts: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     when it straddles.  The bounds are k 2^32 + ends[t] at k K + t, one
     increasing run over all rows, so
     ``searchsorted(bounds, k 2^32 + c, side="right")`` is k K plus the
-    target of code c in row k.  Every temporary but the guide itself is
-    a K-wide row, so a build allocates little beyond the table.
+    target of code c in row k.  When no bucket straddles, no code is
+    looked up and the bounds are empty.  The running sums overwrite
+    ``counts``, and every other temporary but the guide itself is K wide,
+    so a build allocates little beyond the table.
     """
     rows, width = counts.shape
     span = 1 << (32 - bits)
-    ends = np.cumsum(counts, axis=1)
+    ends = np.cumsum(counts, axis=1, out=counts)
     # Bucket starts in [ends[t - 1], ends[t]) number ceil(ends[t] / s) - ceil(ends[t - 1] / s).
-    firsts = np.diff(-(-ends // span), axis=1, prepend=0)
+    firsts = -(-ends // span)
+    firsts[:, 1:] -= firsts[:, :-1]
     guide = np.tile(np.arange(width, dtype=np.int32) << bits, rows).repeat(firsts.ravel())
     row, inner = np.nonzero(ends % span)
+    if not row.size:
+        return guide, np.empty(0, dtype=np.int64)
     guide[(row << bits) + ends[row, inner] // span] = -1 - row
     return guide, (ends + (np.arange(rows, dtype=np.int64)[:, None] << 32)).ravel()
 
@@ -413,22 +376,6 @@ def _jump(state, index, table, bounds, width, bits, rng) -> None:
         row = -1 - state[straddle].astype(np.int64)
         target = np.searchsorted(bounds, (row << 32) | codes[straddle], side="right") - row * width
         state[straddle] = target << bits
-
-
-def _cut_codes(words: np.ndarray, bits: int) -> np.ndarray:
-    """The uint16 lanes of uint64 ``words``, each masked to its low ``bits`` bits.
-
-    Works in place: the result is a view of ``words``.  Each bit of a
-    full-range uniform word is an independent fair bit, so the low
-    ``bits`` bits of every lane are exactly uniform on [0, 2^bits) and
-    independent of all other lanes.  Hence each code is uniform, its base-4
-    digits are independent uniform move draws, and the j-move law is
-    exact, with no rejection and no bias.  (A generator's raw output is
-    not used directly: some generators emit 32-bit raw values.)
-    """
-    codes = words.view(np.uint16)
-    codes &= (1 << bits) - 1
-    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +430,12 @@ class _GrownRows:
         As in ``IndexedTree.walk_batch``, each walk makes
         k ~ Binomial(``steps``, 1/2) Q moves, all drawn by one
         ``rng.binomial`` call.  The walks then read their moves from one
-        stream of 2-bit codes, the ``_cut_codes`` lanes of exactly
-        ceil(sum k / 4) full-range words, drawn lazily in blocks of at
-        most ``_BLOCK_WORDS``; each walk starts at the root and takes the
-        next k codes of the stream.  A generator's full-range uint64
+        stream of 2-bit codes, the low 2 bits of each 16-bit lane, in
+        memory order, of exactly ceil(sum k / 4) full-range words, drawn
+        lazily in blocks of at most ``_BLOCK_WORDS``; each walk starts at
+        the root and takes the next k codes of the stream.  Every bit of
+        a full-range word is an independent fair bit, so each code is
+        exactly uniform on {0..3}.  A generator's full-range uint64
         words do not depend on how they are split into calls, so neither
         do the walks.  The walks run one after another on their own
         draws, so the finals are independent in draw order, with no sort
@@ -500,7 +449,7 @@ class _GrownRows:
         words = -(-sum(moves) // 4)
         sizes = (min(_BLOCK_WORDS, words - w) for w in range(0, words, _BLOCK_WORDS))
         stream = itertools.chain.from_iterable(
-            _cut_codes(rng.integers(0, 1 << 64, size=size, dtype=np.uint64), 2).tolist()
+            (rng.integers(0, 1 << 64, size=size, dtype=np.uint64).view(np.uint16) & 3).tolist()
             for size in sizes
         )
         walk = self.walk
@@ -559,32 +508,25 @@ def repetitions_for(delta: float) -> int:
 
 def _batched_root_hits(
     walker: IndexedTree | _GrownRows, m: int, t: int, steps: int, rng: np.random.Generator
-) -> Iterator[int]:
+) -> list[int]:
     """Root hits of each of ``t`` repetitions of ``m`` walks of ``walker``, in order.
 
     ``walker`` is an ``IndexedTree`` or a ``_GrownRows``; this is the one
-    sampling path of both.  The m t walkers go out in the fewest
-    ``walker.walk_batch`` calls of at most ``_BATCH_WALKERS`` walkers
-    each that hold whole repetitions, sized evenly (their repetition
-    counts differ by at most one).  Each call's finals are read as one
-    row of m walkers per repetition.  Walkers are independent, and
-    ``walk_batch`` returns them exchangeable: in uniformly random order
-    from ``IndexedTree``, and i.i.d. in draw order from the scalar
-    ``_GrownRows``.  So the rows are independent repetitions, as one
-    call per repetition would give.  A repetition wider than the cap
-    walks alone, in calls of at most the cap whose hits are added up, so
-    memory stays bounded whatever m is.  Batches are walked lazily, as
-    their counts are asked for.
+    sampling path of both.  The m t walks go out in consecutive
+    ``walker.walk_batch`` calls of ``_BATCH_WALKERS`` walkers, the last
+    call shorter, so memory stays bounded whatever m and t are.  Draw
+    position j of the m t is credited to repetition j // m.  Walkers are
+    independent, and ``walk_batch`` returns them exchangeable: in
+    uniformly random order from ``IndexedTree``, and i.i.d. in draw order
+    from the scalar ``_GrownRows``.  So the repetitions are independent,
+    as one call per repetition would give, wherever the call boundaries
+    fall.
     """
-    calls = -(-t // max(1, _BATCH_WALKERS // m))
-    base, extra = divmod(t, calls)
-    for reps in [base + 1] * extra + [base] * (calls - extra):
-        hits = 0
-        for first in range(0, m, _BATCH_WALKERS):
-            width = min(_BATCH_WALKERS, m - first)
-            finals = walker.walk_batch(reps * width, steps, rng)
-            hits += np.count_nonzero(finals.reshape(reps, width) == walker.root, axis=1)
-        yield from hits.tolist()
+    hits = np.zeros(t, dtype=np.int64)
+    for first in range(0, m * t, _BATCH_WALKERS):
+        finals = walker.walk_batch(min(_BATCH_WALKERS, m * t - first), steps, rng)
+        hits += np.bincount((first + np.flatnonzero(finals == walker.root)) // m, minlength=t)
+    return hits.tolist()
 
 
 def _alpha_from_hits(
@@ -684,7 +626,7 @@ def estimate_alpha(
         walker = IndexedTree(tree, height)
     else:
         walker = _GrownRows(tree, height, m * t * steps)
-    hits = _batched_root_hits(walker, m, t, steps, rng)
+    hits = iter(_batched_root_hits(walker, m, t, steps, rng))
     return _alpha_from_hits(height, zeta, delta, lambda m: next(hits), steps_per_sample=steps)
 
 

@@ -2,9 +2,12 @@
 
 Everything here is deliberately brute force: subset and assignment
 enumeration, exhaustive replay, and full subset enumeration for the
-conductance.  The guards are hard errors, never silent approximations --
-these routines are the truth source the randomized components are tested
-against.
+conductance.  The walk's exact laws are here too, in exact rationals:
+its stationary law (``stationary_exact``), the root's mass under it
+(``root_mass_exact``) and its transition matrix, lazy or not
+(``transition_matrix_exact``).  The guards are hard errors, never silent
+approximations -- these routines are the truth source the randomized
+components are tested against.
 """
 from __future__ import annotations
 
@@ -117,6 +120,47 @@ def count_computation_paths(instance: SelfReducibleInstance) -> int:
         else:
             stack.extend(pair)
     return paths
+
+
+def stationary_exact(tree: ExplicitTree) -> dict[NodePath, Fraction]:
+    """Exact stationary law pi(i) = 2^(n - depth(i)) / W, W = sum of weights."""
+    if tree.is_empty:
+        raise ValueError("the stationary law of an empty tree is undefined")
+    n = tree.height
+    weights = {node: 1 << (n - len(node)) for node in tree.nodes}
+    total = sum(weights.values())
+    return {node: Fraction(w, total) for node, w in weights.items()}
+
+
+def root_mass_exact(tree: ExplicitTree) -> Fraction:
+    """pi(root) without building the full map."""
+    if tree.is_empty:
+        raise ValueError("empty tree")
+    n = tree.height
+    total = sum(1 << (n - len(node)) for node in tree.nodes)
+    return Fraction(1 << n, total)
+
+
+def transition_matrix_exact(tree: ExplicitTree, lazy: bool = True):
+    """Dense transition matrix of the walk as exact rationals.
+
+    Returns (ordered node list, matrix as list of row dicts node->Fraction).
+    """
+    if tree.is_empty:
+        raise ValueError("empty tree")
+    nodes = sorted(tree.nodes, key=lambda p: (len(p), p))
+    up = Fraction(1, 4) if lazy else Fraction(1, 2)
+    down = Fraction(1, 8) if lazy else Fraction(1, 4)
+    rows: list[dict[NodePath, Fraction]] = []
+    for node in nodes:
+        row: dict[NodePath, Fraction] = {}
+        if node:
+            row[node[:-1]] = up
+        for child in tree.children(node):
+            row[child] = down
+        row[node] = row.get(node, Fraction(0)) + (1 - sum(row.values()))
+        rows.append(row)
+    return nodes, rows
 
 
 def tv_distance(

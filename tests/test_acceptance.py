@@ -46,11 +46,11 @@ from totpcount import (
     count_up_to,
     ras,
 )
-from totpcount.chain import IndexedTree, burn_in_steps, root_mass_exact
+from totpcount.chain import IndexedTree, burn_in_steps
 from totpcount import cli
 from totpcount.cli import main as cli_main
 from totpcount.generate import random_cnf, random_dnf, random_graph, random_monotone_circuit
-from totpcount.oracles import tv_distance
+from totpcount.oracles import root_mass_exact, tv_distance
 from totpcount.problems import save_circuit, save_graph
 from totpcount.trees import depth_counts
 

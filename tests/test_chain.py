@@ -376,6 +376,38 @@ def test_remainder_rows_have_the_exact_r_step_law_from_the_root(tree, jump, monk
         assert [Fraction(int(c), 2**32) for c in counts] == exact
 
 
+def _root_row(tree, r):
+    """The root's row of Q^r over ``tree``'s nodes in (depth, path) order, in exact rationals."""
+    nodes, rows = transition_matrix_exact(tree, lazy=False)
+    step, law = dict(zip(nodes, rows)), {ROOT: Fraction(1)}
+    for _ in range(r):
+        moved = {}
+        for node, p in law.items():
+            for to, q in step[node].items():
+                moved[to] = moved.get(to, Fraction(0)) + p * q
+        law = moved
+    return [law.get(node, Fraction(0)) for node in nodes]
+
+
+@pytest.mark.parametrize(
+    "tree, jump", [(full_binary_tree(6), 4), (full_binary_tree(10), 2)], ids=["127nodes", "2047nodes"]
+)
+def test_remainder_rows_past_32_nodes_have_the_exact_r_step_law(tree, jump):
+    indexed = IndexedTree(tree)
+    k = len(indexed.nodes)
+    assert indexed.jump == jump and k > 32
+    # Each count is a multiple of the bucket span, so no bucket straddles.
+    assert indexed.remainder_bounds.size == 0
+    for r in range(jump):
+        counts, straddled = _codes_per_target(
+            indexed.remainder_table, indexed.remainder_bounds, indexed.bits, r, k
+        )
+        assert straddled == 0
+        assert [Fraction(int(c), 2**32) for c in counts] == _root_row(tree, r)
+    tables = (indexed.jump_table, indexed.remainder_table, indexed.jump_bounds, indexed.remainder_bounds)
+    assert all(table.size <= 2**15 for table in tables)
+
+
 @pytest.mark.parametrize(
     "tree, jump",
     [
@@ -524,21 +556,49 @@ def test_walk_batch_rows_are_exchangeable(rng):
         assert abs(np.mean(row == indexed.root) - exact) <= 4 * sigma
 
 
-@pytest.mark.parametrize("jump", range(1, 9))
-def test_cut_codes_are_the_low_bits_of_each_lane(jump):
-    bits = 2 * jump
+class _WordsRng:
+    """A generator stub that deals out chosen move counts, then chosen 64-bit words in order."""
+
+    def __init__(self, moves, words):
+        self.moves, self.words = moves, words
+
+    def binomial(self, n, p, size):
+        assert size == len(self.moves)
+        return np.array(self.moves, dtype=np.int64)
+
+    def integers(self, low, high, size, dtype):
+        drawn, self.words = self.words[:size], self.words[size:]
+        return drawn.copy()
+
+
+def test_grown_walk_moves_are_the_low_bits_of_each_lane(monkeypatch):
+    walked = []
+    walk = chain._GrownRows.walk
+
+    def recorded(self, codes):
+        walked.append(list(codes))
+        return walk(self, walked[-1])
+
+    monkeypatch.setattr(chain._GrownRows, "walk", recorded)
+    rows = chain._GrownRows(ORACLE_TREES["dnf"], 2, 0)
     words = np.array(
         [0xFEDC_BA98_7654_3210, 0xFFFF_FFFF_FFFF_FFFF, 0, 0x8001_7FFE_0F0F_F0F0],
         dtype=np.uint64,
     )
     # Lanes come out in memory order: least significant first on little-endian hosts.
     lanes = range(4) if sys.byteorder == "little" else range(3, -1, -1)
-    expected = [(int(w) >> 16 * i) & ((1 << bits) - 1) for w in words for i in lanes]
-    assert chain._cut_codes(words.copy(), bits).tolist() == expected
-    # Every 16-bit lane value once: each code gets exactly 2^16 / 4^j of them.
+    expected = [(int(w) >> 16 * i) & 3 for w in words for i in lanes]
+    # 14 moves take the first 14 lanes of exactly four words.
+    rng = _WordsRng([5, 0, 9], words)
+    rows.walk_batch(3, 20, rng)
+    assert [len(codes) for codes in walked] == [5, 0, 9]
+    assert [c for codes in walked for c in codes] == expected[:14]
+    assert rng.words.size == 0
+    # Every 16-bit lane value once: each move gets exactly 2^14 of them.
+    walked.clear()
     every_lane = np.arange(1 << 16, dtype=np.uint16).view(np.uint64)
-    counts = np.bincount(chain._cut_codes(every_lane, bits), minlength=4**jump)
-    assert counts.tolist() == [(1 << 16) >> bits] * 4**jump
+    rows.walk_batch(1, 1 << 17, _WordsRng([1 << 16], every_lane))
+    assert np.bincount(walked[0], minlength=4).tolist() == [1 << 14] * 4
 
 
 def test_scalar_walk_matches_stationary_on_instance_tree(rng):
@@ -644,16 +704,49 @@ def test_estimate_alpha_walks_whole_repetitions_per_batch(tree, cap, monkeypatch
     steps = burn_in_steps(h, zeta / (1 + zeta), 0.1)
     assert [d for d, _ in draws] == [m] * t
     assert all(0 <= hits <= m for _, hits in draws)
-    assert sum(widths) == m * t
-    if m <= cap:
-        assert len(widths) == -(-t // (cap // m))
-        assert all(w % m == 0 and w <= cap for w in widths)
-        assert max(widths) - min(widths) <= m
-    else:
-        # Each repetition walks alone, in calls of at most the cap.
-        assert widths == ([cap] * (m // cap) + [m % cap] * (m % cap > 0)) * t
+    # The m t walks go out in consecutive calls of the cap, the last shorter.
+    assert widths == [cap] * (m * t // cap) + [m * t % cap] * (m * t % cap > 0)
     assert (est.samples, est.repetitions) == (m, t)
     assert est.chain_steps == m * t * steps
+
+
+class _StubWalker:
+    """A walker whose finals are the root exactly at the chosen draw positions."""
+
+    root = 0
+
+    def __init__(self, at_root):
+        self.at_root, self.widths = at_root, []
+
+    def walk_batch(self, n_walkers, steps, rng):
+        first = sum(self.widths)
+        self.widths.append(n_walkers)
+        return np.where(self.at_root[first : first + n_walkers], self.root, 1).astype(np.int32)
+
+
+@pytest.mark.parametrize(
+    "m, t, cap",
+    [
+        (3, 5, 64),  # m t below the cap
+        (1, 1, 1),
+        (4, 8, 32),  # m t at the cap
+        (7, 10, 30),  # m < cap < m t, cap no multiple of m
+        (5, 9, 12),
+        (3, 7, 2),  # cap below m
+        (11, 4, 10),  # m = cap + 1
+        (2, 3, 1),
+        (2_000, 19, 2**15),  # the walk-explicit depth-4 schedule
+    ],
+)
+def test_batched_root_hits_walks_fixed_chunks_and_credits_each_draw_to_its_repetition(
+    m, t, cap, monkeypatch
+):
+    monkeypatch.setattr(chain, "_BATCH_WALKERS", cap)
+    at_root = np.random.default_rng(m * t + cap).random(m * t) < 0.3
+    walker = _StubWalker(at_root)
+    hits = list(chain._batched_root_hits(walker, m, t, 9, None))
+    assert walker.widths == [cap] * (m * t // cap) + [m * t % cap] * (m * t % cap > 0)
+    assert hits == [int(np.count_nonzero(at_root[r * m : (r + 1) * m])) for r in range(t)]
 
 
 LAW_TREES = [
@@ -835,15 +928,14 @@ def _random_instance_trees(seed: int, per_kind: int) -> list[InstanceTree]:
 def _flat_table_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate:
     """The estimate of walking ``IndexedTree(tree, i).flat_table`` on the scalar walk's draws.
 
-    The m t samples go out in the batches of at most ``_BATCH_WALKERS``
-    samples that hold whole repetitions, as ``_batched_root_hits`` sizes
-    them.  Each batch draws the Binomial(T, 1/2) move counts of all its
-    samples in one call, then all of its 2-bit codes in one call, and
-    its samples read the codes in turn, in draw order, m to a
-    repetition (or a repetition's share of the cap when m is wider).
-    Code c moves as ``lazy_step`` does on [c/8, (c+1)/8), so this is the
-    ``lazy_step`` walk with its holds skipped (see
-    ``test_grown_rows_move_as_lazy_step_at_the_interval_ends``).
+    The m t samples go out in consecutive batches of ``_BATCH_WALKERS``
+    samples, the last one shorter, as ``_batched_root_hits`` walks them.
+    Each batch draws the Binomial(T, 1/2) move counts of all its samples
+    in one call, then all of its 2-bit codes in one call, and its samples
+    read the codes in turn, in draw order; sample j of the m t counts
+    toward repetition j // m.  Code c moves as ``lazy_step`` does on
+    [c/8, (c+1)/8), so this is the ``lazy_step`` walk with its holds
+    skipped (see ``test_grown_rows_move_as_lazy_step_at_the_interval_ends``).
     """
     indexed = IndexedTree(tree, i)
     table = indexed.flat_table.tolist()
@@ -852,21 +944,17 @@ def _flat_table_estimate(tree, i, zeta, delta, burn_const, rng) -> AlphaEstimate
     # Lanes come out in memory order: least significant first on little-endian hosts.
     lanes = range(4) if sys.byteorder == "little" else range(3, -1, -1)
     cap = chain._BATCH_WALKERS
-    calls = -(-t // max(1, cap // m))
-    fractions = []
-    for call in range(calls):
-        hits = [0] * (t // calls + (call < t % calls))
-        for first in range(0, m, cap):
-            width = min(cap, m - first)
-            moves = rng.binomial(steps, 0.5, size=len(hits) * width)
-            words = rng.integers(0, 2**64, size=-(-int(moves.sum()) // 4), dtype=np.uint64)
-            codes = iter([(int(w) >> 16 * lane) & 3 for w in words for lane in lanes])
-            for sample, k in enumerate(moves.tolist()):
-                node = indexed.root
-                for _ in range(k):
-                    node = table[4 * node + next(codes)]
-                hits[sample // width] += node == indexed.root
-        fractions += [h / m for h in hits]
+    hits = [0] * t
+    for first in range(0, m * t, cap):
+        moves = rng.binomial(steps, 0.5, size=min(cap, m * t - first))
+        words = rng.integers(0, 2**64, size=-(-int(moves.sum()) // 4), dtype=np.uint64)
+        codes = iter([(int(w) >> 16 * lane) & 3 for w in words for lane in lanes])
+        for sample, k in enumerate(moves.tolist(), first):
+            node = indexed.root
+            for _ in range(k):
+                node = table[4 * node + next(codes)]
+            hits[sample // m] += node == indexed.root
+    fractions = [h / m for h in hits]
     p_hat = float(np.median(fractions))
     degenerate = p_hat <= 0.0
     if degenerate:
@@ -922,9 +1010,9 @@ def test_uniform_blocks_of_any_size_give_the_same_walk(tree, monkeypatch):
     batched = chain._batched_root_hits
 
     def recorded(*args):
-        for count in batched(*args):
-            hits.append(count)
-            yield count
+        counts = batched(*args)
+        hits.extend(counts)
+        return counts
 
     walked = []
     walk = chain._GrownRows.walk

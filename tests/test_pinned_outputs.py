@@ -209,10 +209,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 16.0,
-        "estimate": 10.951497837866249,
-        "estimate_clamped": 11,
-        "fraction": 0.6844686148666406,
-        "fraction_clamped": 0.6844686148666406,
+        "estimate": 10.025284419349347,
+        "estimate_clamped": 10,
+        "fraction": 0.6265802762093342,
+        "fraction_clamped": 0.6265802762093342,
         "height": 4,
         "mode": "telescoping",
         "params": {
