@@ -19,12 +19,13 @@ stateless; the chain walk asks it once per node it expands, into a table
 of rows that it grows for one call (``chain._GrownRows``).  Whole-tree enumeration goes
 through ``InstanceTree.iter_nodes`` instead: a depth-first walk that
 keeps every pending node's split pair on its stack, so each tree edge
-costs one advance and no path is ever replayed.
+costs one advance and no path is ever replayed.  An advance allocates
+nothing but its two child cursors, which are plain tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator
 
 from .errors import MalformedInstanceError, NotInTreeError
 from .trees import ROOT, BranchingTree, NodePath
@@ -77,17 +78,13 @@ class SelfReducibleInstance:
 _SYNTHETIC_LEAF = object()
 
 
-class _Cursor(NamedTuple):
-    """A point mid-run: machine state plus wrapper bookkeeping."""
-
-    state: Any
-    all_ones: bool
-    steps_used: int
-    branches_used: int
-
-
-def _advance(instance: SelfReducibleInstance, cur: _Cursor):
+def _advance(instance: SelfReducibleInstance, cur: tuple):
     """Run until the wrapped machine splits or halts.
+
+    A cursor is a point mid-run, the plain tuple ``(state, all_ones,
+    steps_used, branches_used)``: the machine state, whether every split
+    so far took a 1, and the step calls and splits spent since the
+    initial state, whose cursor is ``(initial, True, 0, 0)``.
 
     Returns ``None`` at a run end, or ``(cursor_if_0, cursor_if_1)`` at a
     split.  The synthetic split fires when the underlying machine halts on
@@ -118,7 +115,7 @@ def _advance(instance: SelfReducibleInstance, cur: _Cursor):
             raise MalformedInstanceError(
                 f"run exceeded the declared branch bound of {instance.branch_bound}"
             )
-        return _Cursor(zero, False, steps, branches), _Cursor(one, all_ones, steps, branches)
+        return (zero, False, steps, branches), (one, all_ones, steps, branches)
 
 
 class InstanceTree(BranchingTree):
@@ -139,10 +136,9 @@ class InstanceTree(BranchingTree):
     def is_empty(self) -> bool:
         return not self._nonempty
 
-    def _split_at(self, node: NodePath) -> tuple[_Cursor, _Cursor]:
+    def _split_at(self, node: NodePath) -> tuple[tuple, tuple]:
         """Child cursors of the split point addressed by ``node``."""
-        cur = _Cursor(self.instance.initial, True, 0, 0)
-        pair = _advance(self.instance, cur)
+        pair = _advance(self.instance, (self.instance.initial, True, 0, 0))
         if pair is None:
             raise NotInTreeError("the branching tree is empty")
         for depth, bit in enumerate(node):

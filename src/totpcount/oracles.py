@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SizeGuardError
-from .machine import SelfReducibleInstance, _Cursor, _advance, build_branching_tree
+from .machine import SelfReducibleInstance, _advance, build_branching_tree
 from .problems import CnfFormula, DnfFormula, Graph, MonotoneCircuit
 from . import trees
 from .trees import ExplicitTree, NodePath, materialize
@@ -109,7 +109,7 @@ def count_computation_paths(instance: SelfReducibleInstance) -> int:
     if not nonempty:
         return 1
     paths = 0
-    stack = [_Cursor(instance.initial, True, 0, 0)]
+    stack = [(instance.initial, True, 0, 0)]
     while stack:
         cur = stack.pop()
         pair = _advance(instance, cur)

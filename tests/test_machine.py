@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from totpcount import (
     DnfFormula,
     Graph,
     HALT,
+    Halt,
     MalformedInstanceError,
     NotInTreeError,
     SelfReducibleInstance,
@@ -203,31 +205,79 @@ def test_one_step_call_over_the_budget_raises():
 
 
 def test_a_step_that_returns_no_outcome_is_reported():
-    tree = build_branching_tree(
-        SelfReducibleInstance(0, lambda s: s + 1, lambda s: True, branch_bound=3, step_budget=10)
-    )
-    with pytest.raises(MalformedInstanceError, match="not a StepOutcome"):
-        tree.children(())
-    with pytest.raises(MalformedInstanceError, match="not a StepOutcome"):
-        list(tree.iter_nodes())
+    # A bare state, and a tuple shaped like the wrapper's own cursors.
+    for step in (lambda s: s + 1, lambda s: (s + 1, False, 0, 0)):
+        instance = SelfReducibleInstance(0, step, lambda s: True, branch_bound=3, step_budget=10)
+        tree = build_branching_tree(instance)
+        with pytest.raises(MalformedInstanceError, match="not a StepOutcome"):
+            tree.children(())
+        with pytest.raises(MalformedInstanceError, match="not a StepOutcome"):
+            list(tree.iter_nodes())
+        with pytest.raises(MalformedInstanceError, match="not a StepOutcome"):
+            count_computation_paths(instance)
+
+
+class _SubDeterministic(Deterministic):
+    pass
+
+
+class _SubBranch(Branch):
+    pass
+
+
+class _SubHalt(Halt):
+    pass
+
+
+def _subclassed(instance):
+    """The same machine, answering with subclasses of the three outcomes."""
+
+    def step(state):
+        outcome = instance.step(state)
+        if isinstance(outcome, Branch):
+            return _SubBranch(outcome.if_zero, outcome.if_one)
+        if isinstance(outcome, Deterministic):
+            return _SubDeterministic(outcome.state)
+        return _SubHalt()
+
+    return replace(instance, step=step)
+
+
+def test_outcome_subclasses_enumerate_as_the_plain_outcomes(rng):
+    for inst in _random_instances(rng):
+        sub_inst = _subclassed(inst)
+        plain, sub = build_branching_tree(inst), build_branching_tree(sub_inst)
+        nodes = list(plain.iter_nodes())
+        assert list(sub.iter_nodes()) == nodes
+        assert [sub.children(node) for node in nodes] == [plain.children(node) for node in nodes]
+        assert count_computation_paths(sub_inst) == count_computation_paths(inst)
+
+
+_OVERRUNS = [
+    # Splits forever: advancing the depth-2 nodes makes a third split.
+    ("branch-bound", SelfReducibleInstance(0, lambda s: Branch(s + 1, s + 1), lambda s: True, 2, 100),
+     "branch bound of 2"),
+    # Never halts: the first run spends its budget before any split.
+    ("step-budget", SelfReducibleInstance(0, lambda s: Deterministic(s), lambda s: True, 3, 50),
+     "step budget of 50"),
+]
 
 
 @pytest.mark.parametrize(
-    "instance, message",
+    "enumerate_all, instance, message",
     [
-        # Splits forever: advancing the depth-2 nodes makes a third split.
-        (SelfReducibleInstance(0, lambda s: Branch(s + 1, s + 1), lambda s: True, 2, 100),
-         "branch bound of 2"),
-        # Never halts: the first run spends its budget before any split.
-        (SelfReducibleInstance(0, lambda s: Deterministic(s), lambda s: True, 3, 50),
-         "step budget of 50"),
+        pytest.param(enumerate_all, instance, message, id=prefix + case)
+        for prefix, enumerate_all in [
+            ("", lambda instance: list(build_branching_tree(instance).iter_nodes())),
+            ("paths-", count_computation_paths),
+        ]
+        for case, instance, message in _OVERRUNS
     ],
-    ids=["branch-bound", "step-budget"],
 )
-def test_enumeration_reports_overruns(instance, message):
-    tree = build_branching_tree(instance)
+def test_enumeration_reports_overruns(enumerate_all, instance, message):
+    # The tree's cursor walk and the oracle's run count each start their own cursor.
     with pytest.raises(MalformedInstanceError, match=message):
-        list(tree.iter_nodes())
+        enumerate_all(instance)
 
 
 def test_queries_outside_tree_raise():
