@@ -21,9 +21,12 @@ is a multiple of 1/4, so 4^J Q^J is an integer matrix whose rows sum to
 table of 2^g buckets a row gives the target of each bucket that lies
 inside one target's codes, and the row's CDF resolves the codes of a
 bucket that straddles two targets (see ``IndexedTree`` and ``_jump``).
-J = 16 while a row has at least 2^10 buckets, which is every tree of at
-most 32 nodes; on larger trees J is the largest j whose 4^j buckets a
-row fit the table cap, and no bucket straddles.  Its ``walk_batch``
+Every tree builds its rows one way: the jump rows are the integer rows
+of (4Q)^J, raised from the rows of 4Q by sparse binary powering, and
+the remainder rows are carried forward from the root.  J = 16 while a
+row has at least 2^10 buckets, which is every tree of at most 32 nodes;
+on larger trees J is the largest j whose 4^j buckets a row fit the
+table cap, and no bucket straddles.  Its ``walk_batch``
 walks the walkers sorted by their move counts, so the walkers that make
 each jump form one suffix, and shuffles the finals at the end.
 ``estimate_alpha`` walks all t repetitions of m samples of a depth
@@ -194,31 +197,29 @@ class IndexedTree:
     draw (see ``_jump``).  Row k of ``jump_table`` samples the law of
     Q^J from node k, and row r of ``remainder_table``, for r < J, the law
     of Q^r from the root.  The tables hold at most ``_TABLE_ENTRIES``
-    = 2^15 entries up to 8192 nodes, which sets g and J for K nodes:
+    = 2^15 entries up to 8192 nodes, which sets g and J for K nodes: up
+    to 32 nodes J = 16 and 2^g = 2^15 / max(K, 16) buckets (2^11 up to
+    16 nodes, 2^10 up to 32); above, J is the largest j whose K 4^j
+    entries fit 2^15 (4 up to 128 nodes, 3 up to 512, 2 up to 2048, and
+    1 above, whose 4 K jump entries pass the cap past 8192 nodes), and
+    2^g = 4^J.
 
-    * K <= 32: J = 16 and 2^g = 2^15 / max(K, 16) buckets (2^11 up to 16
-      nodes, 2^10 up to 32), and the jump rows are the exact integer rows
-      of (4Q)^16.
-    * K > 32: J = j, the largest value whose table of K 4^j entries fits
-      2^15 (4 up to 128 nodes, 3 up to 512, 2 up to 2048, and 1 above,
-      whose 4 K jump entries pass the cap past 8192 nodes), and
-      2^g = 4^j.  Row k of ``jump_table`` is then ``flat_table`` composed
-      j times from node k, column c the node reached by the j moves
-      whose draws are the base-4 digits of c, most significant first, so
-      a uniform c has the law of Q^j, and ``jump_bounds`` is empty.
-
-    On every tree, remainder row r is the integer row 2^32 Q^r(root, .),
-    which ``flat_table`` carries forward from the root one move at a
-    time.  An integer row sums to 2^32, and code c goes to the target t
-    whose integer CDF interval [ends[t - 1], ends[t]) holds c, so each
-    target has exactly its probability.  A bucket holds the 2^(32 - g)
-    codes that share their top g bits; one that lies inside one target's
-    interval is that target, and one that straddles two or more targets
-    is resolved against the row's CDF, ``jump_bounds`` or
-    ``remainder_bounds`` (see ``_guide``).  Above 32 nodes every count of
-    remainder row r is a multiple of 4^(16 - r), and so of the bucket
-    span 4^(16 - j): no bucket straddles, and ``remainder_bounds`` is
-    empty too.
+    Every table is cut from exact integer rows that sum to 2^32, the same
+    way on every tree.  Jump row k is row k of (4Q)^J times 4^(16 - J):
+    the rows of 4Q, each row's move counts over its four draws, are read
+    off ``flat_table`` and raised to the J-th power over their nonzero
+    entries by binary powering (``_product``), so no K x K array is built.
+    Remainder row r is 2^32 Q^r(root, .), which ``flat_table`` carries
+    forward from the root one move at a time.  Code c goes to the target
+    whose integer CDF interval holds c, so each target has exactly its
+    probability.  A bucket holds the 2^(32 - g) codes that share their
+    top g bits; one that lies inside one target's interval is that
+    target, and one that straddles two or more targets is resolved
+    against the row's CDF: ``jump_bounds`` and ``jump_targets``, or
+    ``remainder_bounds`` and ``remainder_targets`` (see ``_guide``).
+    Above 32 nodes every count is a multiple of 4^(16 - J), the bucket
+    span, so no bucket straddles and the bounds are empty.  Each row
+    lists its targets in index order.
 
     Table entries are 2^g times the node reached, pre-shifted into the
     row offset of the next draw; a straddling bucket of row k holds
@@ -239,27 +240,29 @@ class IndexedTree:
         self.root = index[ROOT]
         # A long jump's remainder table has J rows, so max(K, J) rows share the cap.
         bits = (_TABLE_ENTRIES // max(k, _LONG_JUMP)).bit_length() - 1
-        long_jump = bits >= _MIN_GUIDE_BITS
-        self.jump = _LONG_JUMP if long_jump else max(1, bits // 2)
-        self.bits = bits if long_jump else 2 * self.jump
+        self.jump = _LONG_JUMP if bits >= _MIN_GUIDE_BITS else max(1, bits // 2)
+        self.bits = bits if self.jump == _LONG_JUMP else 2 * self.jump
         # Row r is 2^32 Q^r(root, .), an integer row as 4^r Q^r is one:
         # each node passes a quarter of its count along each of its draws.
         reach = np.zeros((self.jump, k), dtype=np.int64)
         reach[0, self.root] = 1 << 32
         for r in range(1, self.jump):
             np.add.at(reach[r], self.flat_table, (reach[r - 1] >> 2).repeat(4))
-        self.remainder_table, self.remainder_bounds = _guide(reach, self.bits)
-        if long_jump:
-            # one = 4Q, the move counts of each row's four draws.
-            one = np.zeros((k, k), dtype=np.int64)
-            np.add.at(one, (np.arange(k).repeat(4), self.flat_table), 1)
-            self.jump_table, self.jump_bounds = _guide(np.linalg.matrix_power(one, _LONG_JUMP), self.bits)
-        else:
-            jump = table
-            for _ in range(1, self.jump):
-                jump = table[jump].reshape(k, -1)
-            self.jump_table = (jump << self.bits).ravel()
-            self.jump_bounds = np.empty(0, dtype=np.int64)
+        keys = np.flatnonzero(reach)
+        remainder = _guide(keys % k, reach.ravel()[keys], self.bits)
+        self.remainder_table, self.remainder_bounds, self.remainder_targets = remainder
+        # one = 4Q, each row's move counts over its four draws, keyed K row + target.
+        # (4Q)^J by binary powering over the bits of J below its leading one: a square
+        # for each bit and one more product by 4Q for each set bit (4 products at J = 16).
+        one = power = np.unique(np.arange(k).repeat(4) * k + self.flat_table, return_counts=True)
+        for bit in bin(self.jump)[3:]:
+            power = _product(power, power, k)
+            if bit == "1":
+                power = _product(power, one, k)
+        # Rows of (4Q)^J sum to 4^J, so 4^(16 - J) times them sum to 2^32.
+        keys, counts = power
+        jump = _guide(keys % k, counts << 2 * (_LONG_JUMP - self.jump), self.bits)
+        self.jump_table, self.jump_bounds, self.jump_targets = jump
 
     def walk_batch(self, n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
         """Final node indices (int32) of ``n_walkers`` independent ``steps``-step lazy walks from the root.
@@ -298,44 +301,65 @@ class IndexedTree:
         del moves
         state <<= bits
         index = np.empty(n_walkers, dtype=np.intp)
-        _jump(state, index, self.remainder_table, self.remainder_bounds, len(self.nodes), bits, rng)
+        _jump(state, index, self.remainder_table, self.remainder_bounds, self.remainder_targets, bits, rng)
         for p in range(high):
             lo = starts[p - low] if p >= low else 0
-            _jump(state[lo:], index[lo:], self.jump_table, self.jump_bounds, len(self.nodes), bits, rng)
+            _jump(state[lo:], index[lo:], self.jump_table, self.jump_bounds, self.jump_targets, bits, rng)
         state >>= bits
         rng.shuffle(state)
         return state
 
 
-def _guide(counts: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Guide table (int32) and search bounds (int64) of integer rows that each sum to 2^32.
+def _guide(targets: np.ndarray, counts: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guide table (int32), search bounds (int64) and their targets, of integer rows that each sum to 2^32.
 
-    Target t of row k takes the codes in [ends[t - 1], ends[t]), ends the
-    row's cumulative counts, so a uniform 32-bit code reaches it with
-    probability counts[k, t] / 2^32.  Bucket b of a row holds the codes
-    [b s, (b + 1) s), s = 2^(32 - bits), and straddles when some end lies
-    strictly inside it, at b = ends[t] // s with ends[t] % s > 0.  Its
-    guide entry is 2^bits times the target of its first code, or -1 - k
-    when it straddles.  The bounds are k 2^32 + ends[t] at k K + t, one
-    increasing run over all rows, so
-    ``searchsorted(bounds, k 2^32 + c, side="right")`` is k K plus the
-    target of code c in row k.  When no bucket straddles, no code is
-    looked up and the bounds are empty.  The running sums overwrite
-    ``counts``, and every other temporary but the guide itself is K wide,
-    so a build allocates little beyond the table.
+    The rows come as their nonzero entries, sorted by (row, target):
+    ``targets`` and ``counts``.  The bounds are the running sums of the
+    counts over all rows, so the entries of row k have bounds k 2^32 plus
+    the row's cumulative counts, one increasing run over all rows.  Code
+    c of row k goes to the entry whose bounds interval holds k 2^32 + c,
+    so a uniform 32-bit code reaches each target with probability its
+    count / 2^32, and ``targets[searchsorted(bounds, k 2^32 + c,
+    side="right")]`` is that target.  Bucket b of row k holds the codes
+    [b s, (b + 1) s), s = 2^(32 - bits), at guide index
+    2^bits k + b = (k 2^32 + b s) / s; it straddles when some bound lies
+    strictly inside it, at index bound // s with bound % s > 0, and that
+    bound's row is bound >> 32.  Its guide entry is 2^bits times the
+    target of its first code, or -1 - k when it straddles.  When no
+    bucket straddles, no code is looked up and the bounds and targets are
+    empty.  The running sums overwrite ``counts``, and every other
+    temporary but the guide itself holds one value an entry, so a build
+    allocates little beyond the table.
     """
-    rows, width = counts.shape
     span = 1 << (32 - bits)
-    ends = np.cumsum(counts, axis=1, out=counts)
-    # Bucket starts in [ends[t - 1], ends[t]) number ceil(ends[t] / s) - ceil(ends[t - 1] / s).
-    firsts = -(-ends // span)
-    firsts[:, 1:] -= firsts[:, :-1]
-    guide = np.tile(np.arange(width, dtype=np.int32) << bits, rows).repeat(firsts.ravel())
-    row, inner = np.nonzero(ends % span)
-    if not row.size:
-        return guide, np.empty(0, dtype=np.int64)
-    guide[(row << bits) + ends[row, inner] // span] = -1 - row
-    return guide, (ends + (np.arange(rows, dtype=np.int64)[:, None] << 32)).ravel()
+    bounds = np.cumsum(counts, out=counts)
+    # Bucket starts in [previous bound, bound) number ceil(bound / s) - ceil(previous bound / s).
+    guide = (targets.astype(np.int32) << bits).repeat(np.diff(-(-bounds // span), prepend=0))
+    straddle = bounds[bounds % span > 0]
+    if not straddle.size:
+        return guide, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    guide[straddle // span] = -1 - (straddle >> 32)
+    return guide, bounds, targets
+
+
+def _product(a, b, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product of two K x K integer matrices, each held as its nonzero entries.
+
+    A matrix is a pair (keys, counts) of int64 arrays, with keys
+    K row + column in increasing order.  Entry (r, m) of ``a`` meets
+    each entry (m, t) of ``b``, which sit at ``starts[m]`` up to
+    ``starts[m + 1]`` of its keys, and the products are summed per key.
+    No K x K array is allocated.
+    """
+    (keys, counts), (b_keys, b_counts) = a, b
+    starts = np.searchsorted(b_keys, np.arange(k + 1) * k)
+    mid = keys % k
+    lengths = starts[mid + 1] - starts[mid]
+    at = np.arange(lengths.sum()) + (starts[mid] - np.cumsum(lengths) + lengths).repeat(lengths)
+    keys, inverse = np.unique((keys - mid).repeat(lengths) + b_keys[at] % k, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(sums, inverse, counts.repeat(lengths) * b_counts[at])
+    return keys, sums
 
 
 def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
@@ -349,7 +373,7 @@ def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.nd
     return moves
 
 
-def _jump(state, index, table, bounds, width, bits, rng) -> None:
+def _jump(state, index, table, bounds, targets, bits, rng) -> None:
     """Move every walker of ``state`` by one draw from its row of guide table ``table``.
 
     ``state`` (int32) holds each walker's row pre-shifted, 2^``bits``
@@ -361,8 +385,8 @@ def _jump(state, index, table, bounds, width, bits, rng) -> None:
     ``np.intp`` index (``np.take`` converts any other index to ``intp``
     first, which made a gather about 1.6x slower with an int32 index).
     A straddling bucket gathers -1 - k, and those walkers, a few percent
-    at most, look their code up in ``bounds`` (see ``_guide``), a row of
-    ``width`` targets a row.
+    at most, look their code up in ``bounds`` and take the target there
+    (see ``_guide``).
     """
     n = len(state)
     codes = rng.integers(0, 1 << 64, size=-(-n // 2), dtype=np.uint64).view(np.uint32)[:n]
@@ -374,8 +398,7 @@ def _jump(state, index, table, bounds, width, bits, rng) -> None:
     straddle = np.flatnonzero(state < 0)
     if straddle.size:
         row = -1 - state[straddle].astype(np.int64)
-        target = np.searchsorted(bounds, (row << 32) | codes[straddle], side="right") - row * width
-        state[straddle] = target << bits
+        state[straddle] = targets[np.searchsorted(bounds, (row << 32) | codes[straddle], side="right")] << bits
 
 
 # ---------------------------------------------------------------------------

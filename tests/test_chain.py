@@ -300,12 +300,13 @@ def test_lazy_steps_are_binomially_many_non_lazy_moves(tree):
         assert thinned == lazy_power
 
 
-def _codes_per_target(table, bounds, bits, row, width):
+def _codes_per_target(table, bounds, targets, bits, row, width):
     """Codes of [0, 2^32) that each target of one guide row gets, counted through guide and CDF.
 
     A pure bucket gives all of its 2^(32 - bits) codes to the target its
     entry names; a straddling bucket (entry -1 - row) splits its codes by
-    the row's integer CDF.  Also returns the number of straddling buckets.
+    the row's integer CDF, the bounds in (row 2^32, (row + 1) 2^32] and
+    their targets.  Also returns the number of straddling buckets.
     """
     span = 1 << (32 - bits)
     entries = table[row << bits : (row + 1) << bits].astype(np.int64)
@@ -315,11 +316,12 @@ def _codes_per_target(table, bounds, bits, row, width):
     straddling = np.flatnonzero(~pure)
     assert np.all(entries[straddling] == -1 - row)
     if straddling.size:
-        ends = bounds[row * width : (row + 1) * width] - (row << 32)
+        lo, hi = np.searchsorted(bounds, [row << 32, (row + 1) << 32], side="right")
+        ends = bounds[lo:hi] - (row << 32)
         starts = np.concatenate([[0], ends[:-1]])
         for b in straddling.tolist():
-            lo, hi = b * span, (b + 1) * span
-            counts += np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0, None)
+            first, last = b * span, (b + 1) * span
+            np.add.at(counts, targets[lo:hi], np.clip(np.minimum(ends, last) - np.maximum(starts, first), 0, None))
     return counts, straddling.size
 
 
@@ -346,7 +348,7 @@ def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
     straddles = 0
     for row, exact in enumerate(_exact_power(tree, jump, lazy=False)):
         counts, straddled = _codes_per_target(
-            indexed.jump_table, indexed.jump_bounds, indexed.bits, row, k
+            indexed.jump_table, indexed.jump_bounds, indexed.jump_targets, indexed.bits, row, k
         )
         assert [Fraction(int(c), 2**32) for c in counts] == exact
         straddles += straddled
@@ -356,7 +358,9 @@ def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
     if jump < 16:
         assert straddles == 0 and indexed.bits == 2 * jump
     if jump == 1:
-        assert np.array_equal(indexed.jump_table >> 2, indexed.flat_table)
+        # The guide lists each row's targets in index order, not draw order.
+        rows = (indexed.jump_table >> 2).reshape(k, 4), indexed.flat_table.reshape(k, 4)
+        assert np.array_equal(*(np.sort(r, axis=1) for r in rows))
 
 
 @pytest.mark.parametrize("jump", JUMPS)
@@ -367,7 +371,7 @@ def test_remainder_rows_have_the_exact_r_step_law_from_the_root(tree, jump, monk
     assert indexed.remainder_table.size == jump << indexed.bits
     for r in range(jump):
         counts, _ = _codes_per_target(
-            indexed.remainder_table, indexed.remainder_bounds, indexed.bits, r, k
+            indexed.remainder_table, indexed.remainder_bounds, indexed.remainder_targets, indexed.bits, r, k
         )
         if r:
             exact = _exact_power(tree, r, lazy=False)[indexed.root]
@@ -400,12 +404,66 @@ def test_remainder_rows_past_32_nodes_have_the_exact_r_step_law(tree, jump):
     assert indexed.remainder_bounds.size == 0
     for r in range(jump):
         counts, straddled = _codes_per_target(
-            indexed.remainder_table, indexed.remainder_bounds, indexed.bits, r, k
+            indexed.remainder_table, indexed.remainder_bounds, indexed.remainder_targets, indexed.bits, r, k
         )
         assert straddled == 0
         assert [Fraction(int(c), 2**32) for c in counts] == _root_row(tree, r)
     tables = (indexed.jump_table, indexed.remainder_table, indexed.jump_bounds, indexed.remainder_bounds)
-    assert all(table.size <= 2**15 for table in tables)
+    assert all(table.size <= 2**15 for table in (*tables, indexed.jump_targets, indexed.remainder_targets))
+
+
+def _integer_rows(tree, nodes, j):
+    """Every row of (4Q)^j over ``nodes``, as {column: count} dicts, by per-node propagation."""
+    order, rows = transition_matrix_exact(tree, lazy=False)
+    step = {p: {to: int(4 * q) for to, q in row.items() if q} for p, row in zip(order, rows)}
+    index, powers = {p: i for i, p in enumerate(nodes)}, []
+    for node in nodes:
+        law = {node: 1}
+        for _ in range(j):
+            moved = {}
+            for at, c in law.items():
+                for to, q in step[at].items():
+                    moved[to] = moved.get(to, 0) + c * q
+            law = moved
+        powers.append({index[p]: c for p, c in law.items()})
+    return powers
+
+
+# At the default cap: J = 16 up to 32 nodes, then J = 4, 4, 3 and 2 on
+# 63, 127, 255 and 2,047 nodes (J = 3 is the one odd power).
+@pytest.mark.parametrize(
+    "tree, jump",
+    [
+        (ExplicitTree([()]), 16),
+        (SMALL_TREES[-1], 16),
+        (ExplicitTree(full_binary_tree(4).nodes | {(1, 1, 1, 1, 1)}), 16),
+        (full_binary_tree(5), 4),
+        (full_binary_tree(6), 4),
+        (full_binary_tree(7), 3),
+        (full_binary_tree(10), 2),
+    ],
+    ids=lambda x: str(x) if isinstance(x, int) else f"{len(x.nodes)}nodes",
+)
+def test_jump_rows_have_the_exact_j_step_law_at_the_default_cap(tree, jump):
+    indexed = IndexedTree(tree)
+    assert indexed.jump == jump
+    k, scale = len(indexed.nodes), 4 ** (16 - jump)
+    for row, exact in enumerate(_integer_rows(tree, indexed.nodes, jump)):
+        counts, _ = _codes_per_target(
+            indexed.jump_table, indexed.jump_bounds, indexed.jump_targets, indexed.bits, row, k
+        )
+        reached = np.flatnonzero(counts)
+        assert dict(zip(reached.tolist(), counts[reached].tolist())) == {t: c * scale for t, c in exact.items()}
+
+
+def test_a_2047_node_build_allocates_no_dense_matrix():
+    # A dense 2047 x 2047 int64 matrix alone would take 33 MB.
+    tree = full_binary_tree(10)
+    tracemalloc.start()
+    IndexedTree(tree)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize(
@@ -433,7 +491,7 @@ def test_jump_length_follows_the_table_cap(tree, jump):
     assert indexed.jump_table.size == k << indexed.bits
     assert indexed.remainder_table.size == jump << indexed.bits
     tables = (indexed.jump_table, indexed.remainder_table, indexed.jump_bounds, indexed.remainder_bounds)
-    assert all(table.size <= 2**15 for table in tables)
+    assert all(table.size <= 2**15 for table in (*tables, indexed.jump_targets, indexed.remainder_targets))
 
 
 def _walk_law_distance(tree, walkers, steps, rng):
