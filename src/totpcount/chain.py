@@ -16,14 +16,16 @@ walker for explicit trees walks only those moves, by the law
 Q^k = Q^r (Q^J)^q, r = k mod J, q = k div J: one draw from the root's
 row of Q^r, on every tree, then q jumps of J moves.  Every Q probability
 is a multiple of 1/4, so 4^J Q^J is an integer matrix whose rows sum to
-4^J, and each draw is one uniform 32-bit code, the lane of a full-range
-64-bit word, sampled through an exact integer CDF of its row: a guide
-table of 2^g buckets a row gives the target of each bucket that lies
-inside one target's codes, and the row's CDF resolves the codes of a
-bucket that straddles two targets (see ``IndexedTree`` and ``_jump``).
+4^J, and each draw is one uniform 2J-bit code sampled through an exact
+integer CDF of its row: a guide table of 2^g buckets a row gives the
+target of each bucket that lies inside one target's codes, and the
+row's CDF resolves the codes of a bucket that straddles two targets
+(see ``IndexedTree`` and ``_jump``).  A draw first takes the code's top
+16 bits, one lane of a full-range 64-bit word, which pick the bucket;
+only a walker whose bucket straddles draws the code's other bits.
 Every tree builds its rows one way: the jump rows are the integer rows
 of (4Q)^J, raised from the rows of 4Q by sparse binary powering, and
-the remainder rows are carried forward from the root.  J = 16 while a
+the remainder rows are carried forward from the root.  J = 28 while a
 row has at least 2^10 buckets, which is every tree of at most 32 nodes;
 on larger trees J is the largest j whose 4^j buckets a row fit the
 table cap, and no bucket straddles.  Its ``walk_batch``
@@ -159,13 +161,18 @@ def lazy_step(
 # Entries of each guide table (int32, so 128 KB).  Larger caps buy little
 # speed and cost resident memory.
 _TABLE_ENTRIES = 1 << 15
-# Moves per long jump: 4^16 = 2^32 move sequences, so a jump's code is one
-# 32-bit lane and every integer CDF entry of a row of (4Q)^16 fits below 2^32.
-_LONG_JUMP = 16
+# Moves per long jump: 4^28 = 2^56 move sequences, so a jump's code has 56
+# bits, of which the first 16 pick the guide bucket.  The int64 search
+# bounds of 32 rows then reach 32 2^56 = 2^61; J = 29 would reach 2^63.
+_LONG_JUMP = 28
 # Fewest guide buckets a row (as a power of two) that a long jump takes.
 # Below it a bucket straddles targets too often; the walk then jumps
 # j moves on 4^j buckets, which never straddle.
 _MIN_GUIDE_BITS = 10
+# Terms a chunk of ``_product`` expands, at about 100 bytes of temporaries
+# a term: a 31-node build then peaks near 0.45 MB under tracemalloc, where
+# expanding each product whole peaked at 1.9 MB.
+_PRODUCT_TERMS = 1 << 12
 # Walkers per walk_batch call of ``_batched_root_hits``: wide enough to
 # spread numpy's per-call cost over many walkers, small enough that the
 # walker arrays (16 bytes a walker) stay small.
@@ -193,33 +200,32 @@ class IndexedTree:
     probability.
 
     The walk moves by jumps of ``jump`` = J moves, drawn from guide
-    tables of 2^g buckets a row (g = ``bits``), one uniform 32-bit code a
+    tables of 2^g buckets a row (g = ``bits``), one uniform 2J-bit code a
     draw (see ``_jump``).  Row k of ``jump_table`` samples the law of
     Q^J from node k, and row r of ``remainder_table``, for r < J, the law
     of Q^r from the root.  The tables hold at most ``_TABLE_ENTRIES``
     = 2^15 entries up to 8192 nodes, which sets g and J for K nodes: up
-    to 32 nodes J = 16 and 2^g = 2^15 / max(K, 16) buckets (2^11 up to
-    16 nodes, 2^10 up to 32); above, J is the largest j whose K 4^j
-    entries fit 2^15 (4 up to 128 nodes, 3 up to 512, 2 up to 2048, and
-    1 above, whose 4 K jump entries pass the cap past 8192 nodes), and
-    2^g = 4^J.
+    to 32 nodes J = 28 and 2^g = 2^10 buckets, the most that
+    max(K, 28) rows fit; above, J is the largest j whose K 4^j entries
+    fit 2^15 (4 up to 128 nodes, 3 up to 512, 2 up to 2048, and 1 above,
+    whose 4 K jump entries pass the cap past 8192 nodes), and 2^g = 4^J.
 
-    Every table is cut from exact integer rows that sum to 2^32, the same
-    way on every tree.  Jump row k is row k of (4Q)^J times 4^(16 - J):
-    the rows of 4Q, each row's move counts over its four draws, are read
-    off ``flat_table`` and raised to the J-th power over their nonzero
+    Every table is cut from exact integer rows that sum to 4^J, the same
+    way on every tree.  Jump row k is row k of (4Q)^J: the rows of 4Q,
+    each row's move counts over its four draws, are read off
+    ``flat_table`` and raised to the J-th power over their nonzero
     entries by binary powering (``_product``), so no K x K array is built.
-    Remainder row r is 2^32 Q^r(root, .), which ``flat_table`` carries
+    Remainder row r is 4^J Q^r(root, .), which ``flat_table`` carries
     forward from the root one move at a time.  Code c goes to the target
     whose integer CDF interval holds c, so each target has exactly its
-    probability.  A bucket holds the 2^(32 - g) codes that share their
+    probability.  A bucket holds the 2^(2J - g) codes that share their
     top g bits; one that lies inside one target's interval is that
     target, and one that straddles two or more targets is resolved
     against the row's CDF: ``jump_bounds`` and ``jump_targets``, or
     ``remainder_bounds`` and ``remainder_targets`` (see ``_guide``).
-    Above 32 nodes every count is a multiple of 4^(16 - J), the bucket
-    span, so no bucket straddles and the bounds are empty.  Each row
-    lists its targets in index order.
+    Above 32 nodes g = 2J, each bucket is one code, so no bucket
+    straddles and the bounds are empty.  Each row lists its targets in
+    index order.
 
     Table entries are 2^g times the node reached, pre-shifted into the
     row offset of the next draw; a straddling bucket of row k holds
@@ -242,26 +248,26 @@ class IndexedTree:
         bits = (_TABLE_ENTRIES // max(k, _LONG_JUMP)).bit_length() - 1
         self.jump = _LONG_JUMP if bits >= _MIN_GUIDE_BITS else max(1, bits // 2)
         self.bits = bits if self.jump == _LONG_JUMP else 2 * self.jump
-        # Row r is 2^32 Q^r(root, .), an integer row as 4^r Q^r is one:
+        width = 2 * self.jump
+        # Row r is 4^J Q^r(root, .), an integer row as 4^r Q^r is one:
         # each node passes a quarter of its count along each of its draws.
         reach = np.zeros((self.jump, k), dtype=np.int64)
-        reach[0, self.root] = 1 << 32
+        reach[0, self.root] = 1 << width
         for r in range(1, self.jump):
             np.add.at(reach[r], self.flat_table, (reach[r - 1] >> 2).repeat(4))
         keys = np.flatnonzero(reach)
-        remainder = _guide(keys % k, reach.ravel()[keys], self.bits)
+        remainder = _guide(keys % k, reach.ravel()[keys], self.bits, width)
         self.remainder_table, self.remainder_bounds, self.remainder_targets = remainder
         # one = 4Q, each row's move counts over its four draws, keyed K row + target.
         # (4Q)^J by binary powering over the bits of J below its leading one: a square
-        # for each bit and one more product by 4Q for each set bit (4 products at J = 16).
+        # for each bit and one more product by 4Q for each set bit (6 products at J = 28).
         one = power = np.unique(np.arange(k).repeat(4) * k + self.flat_table, return_counts=True)
         for bit in bin(self.jump)[3:]:
             power = _product(power, power, k)
             if bit == "1":
                 power = _product(power, one, k)
-        # Rows of (4Q)^J sum to 4^J, so 4^(16 - J) times them sum to 2^32.
         keys, counts = power
-        jump = _guide(keys % k, counts << 2 * (_LONG_JUMP - self.jump), self.bits)
+        jump = _guide(keys % k, counts, self.bits, width)
         self.jump_table, self.jump_bounds, self.jump_targets = jump
 
     def walk_batch(self, n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
@@ -280,17 +286,18 @@ class IndexedTree:
         split of the result into rows gives independent rows.  On a
         one-node tree every walk ends at the root, and nothing is drawn.
 
-        A call draws ``n_walkers`` move counts, then ceil(w / 2) 64-bit
-        words for each pass of w walkers: one remainder pass over all of
-        them and about ``steps / (2 J)`` jump passes.  Memory is 4 bytes
-        a walker of state, then 8 of move counts, freed before the 8 of
-        gather index are allocated, and 4 of codes and 1 of straddle mask
-        for each pass, whatever ``steps`` is.
+        A call draws ``n_walkers`` move counts, then ceil(w / 4) 64-bit
+        words for each pass of w walkers, 16 bits of code a walker, and
+        one more word for each of them whose bucket straddles: one
+        remainder pass over all of them and about ``steps / (2 J)`` jump
+        passes.  Memory is 4 bytes a walker of state, then 8 of move
+        counts, freed before the 8 of gather index are allocated, and 2 of
+        codes and 1 of straddle mask for each pass, whatever ``steps`` is.
         """
         state = np.full(n_walkers, self.root, dtype=np.int32)
         if not (n_walkers and steps) or len(self.nodes) == 1:
             return state
-        j, bits = self.jump, self.bits
+        j, bits, width = self.jump, self.bits, 2 * self.jump
         moves = _sorted_moves(n_walkers, steps, rng)
         low, high = int(moves[0]) // j, int(moves[-1]) // j
         # Jump p moves the walkers with more than p j moves: all of them
@@ -301,44 +308,45 @@ class IndexedTree:
         del moves
         state <<= bits
         index = np.empty(n_walkers, dtype=np.intp)
-        _jump(state, index, self.remainder_table, self.remainder_bounds, self.remainder_targets, bits, rng)
+        _jump(state, index, self.remainder_table, self.remainder_bounds, self.remainder_targets, bits, width, rng)
         for p in range(high):
             lo = starts[p - low] if p >= low else 0
-            _jump(state[lo:], index[lo:], self.jump_table, self.jump_bounds, self.jump_targets, bits, rng)
+            _jump(state[lo:], index[lo:], self.jump_table, self.jump_bounds, self.jump_targets, bits, width, rng)
         state >>= bits
         rng.shuffle(state)
         return state
 
 
-def _guide(targets: np.ndarray, counts: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Guide table (int32), search bounds (int64) and their targets, of integer rows that each sum to 2^32.
+def _guide(targets: np.ndarray, counts: np.ndarray, bits: int, width: int) -> tuple[np.ndarray, ...]:
+    """Guide table (int32), search bounds (int64) and their targets, of integer rows that each sum to 2^width.
 
     The rows come as their nonzero entries, sorted by (row, target):
     ``targets`` and ``counts``.  The bounds are the running sums of the
-    counts over all rows, so the entries of row k have bounds k 2^32 plus
-    the row's cumulative counts, one increasing run over all rows.  Code
-    c of row k goes to the entry whose bounds interval holds k 2^32 + c,
-    so a uniform 32-bit code reaches each target with probability its
-    count / 2^32, and ``targets[searchsorted(bounds, k 2^32 + c,
+    counts over all rows, so the entries of row k have bounds k 2^width
+    plus the row's cumulative counts, one increasing run over all rows
+    (K 2^width <= 2^61 fits int64, see ``_LONG_JUMP``).  Code c of row k
+    goes to the entry whose bounds interval holds k 2^width + c, so a
+    uniform ``width``-bit code reaches each target with probability its
+    count / 2^width, and ``targets[searchsorted(bounds, k 2^width + c,
     side="right")]`` is that target.  Bucket b of row k holds the codes
-    [b s, (b + 1) s), s = 2^(32 - bits), at guide index
-    2^bits k + b = (k 2^32 + b s) / s; it straddles when some bound lies
-    strictly inside it, at index bound // s with bound % s > 0, and that
-    bound's row is bound >> 32.  Its guide entry is 2^bits times the
-    target of its first code, or -1 - k when it straddles.  When no
+    [b s, (b + 1) s), s = 2^(width - bits), at guide index
+    2^bits k + b = (k 2^width + b s) / s; it straddles when some bound
+    lies strictly inside it, at index bound // s with bound % s > 0, and
+    that bound's row is bound >> width.  Its guide entry is 2^bits times
+    the target of its first code, or -1 - k when it straddles.  When no
     bucket straddles, no code is looked up and the bounds and targets are
     empty.  The running sums overwrite ``counts``, and every other
     temporary but the guide itself holds one value an entry, so a build
     allocates little beyond the table.
     """
-    span = 1 << (32 - bits)
+    span = 1 << (width - bits)
     bounds = np.cumsum(counts, out=counts)
     # Bucket starts in [previous bound, bound) number ceil(bound / s) - ceil(previous bound / s).
     guide = (targets.astype(np.int32) << bits).repeat(np.diff(-(-bounds // span), prepend=0))
     straddle = bounds[bounds % span > 0]
     if not straddle.size:
         return guide, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    guide[straddle // span] = -1 - (straddle >> 32)
+    guide[straddle // span] = -1 - (straddle >> width)
     return guide, bounds, targets
 
 
@@ -349,17 +357,27 @@ def _product(a, b, k: int) -> tuple[np.ndarray, np.ndarray]:
     K row + column in increasing order.  Entry (r, m) of ``a`` meets
     each entry (m, t) of ``b``, which sit at ``starts[m]`` up to
     ``starts[m + 1]`` of its keys, and the products are summed per key.
-    No K x K array is allocated.
+    The terms are expanded and summed for a chunk of whole rows of ``a``
+    at a time, about ``_PRODUCT_TERMS`` terms a chunk, so the temporaries
+    stay small however dense the rows are; the chunks' keys are disjoint
+    and ascending, so they are concatenated.  No K x K array is allocated.
     """
     (keys, counts), (b_keys, b_counts) = a, b
     starts = np.searchsorted(b_keys, np.arange(k + 1) * k)
     mid = keys % k
     lengths = starts[mid + 1] - starts[mid]
-    at = np.arange(lengths.sum()) + (starts[mid] - np.cumsum(lengths) + lengths).repeat(lengths)
-    keys, inverse = np.unique((keys - mid).repeat(lengths) + b_keys[at] % k, return_inverse=True)
-    sums = np.zeros(keys.size, dtype=np.int64)
-    np.add.at(sums, inverse, counts.repeat(lengths) * b_counts[at])
-    return keys, sums
+    rows = max(1, k * _PRODUCT_TERMS // int(lengths.sum()))
+    cuts = np.searchsorted(keys, np.arange(0, k + rows, rows) * k).tolist()
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        n = lengths[lo:hi]
+        at = np.arange(n.sum()) + (starts[mid[lo:hi]] - np.cumsum(n) + n).repeat(n)
+        chunk, inverse = np.unique((keys[lo:hi] - mid[lo:hi]).repeat(n) + b_keys[at] % k, return_inverse=True)
+        sums = np.zeros(chunk.size, dtype=np.int64)
+        np.add.at(sums, inverse, counts[lo:hi].repeat(n) * b_counts[at])
+        parts.append((chunk, sums))
+    chunks, sums = zip(*parts)
+    return np.concatenate(chunks), np.concatenate(sums)
 
 
 def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.ndarray:
@@ -373,24 +391,29 @@ def _sorted_moves(n_walkers: int, steps: int, rng: np.random.Generator) -> np.nd
     return moves
 
 
-def _jump(state, index, table, bounds, targets, bits, rng) -> None:
+def _jump(state, index, table, bounds, targets, bits, width, rng) -> None:
     """Move every walker of ``state`` by one draw from its row of guide table ``table``.
 
     ``state`` (int32) holds each walker's row pre-shifted, 2^``bits``
     times it, and gets the target pre-shifted the same way, in place.
-    Each walker's code is one 32-bit lane of ceil(n / 2) full-range
-    uint64 words drawn for the n walkers, so it is exactly uniform on
-    [0, 2^32) and independent of every other code.  Its top ``bits``
-    bits pick the bucket: one OR forms the gather index 2^bits k + b, an
-    ``np.intp`` index (``np.take`` converts any other index to ``intp``
-    first, which made a gather about 1.6x slower with an int32 index).
-    A straddling bucket gathers -1 - k, and those walkers, a few percent
-    at most, look their code up in ``bounds`` and take the target there
-    (see ``_guide``).
+    Each walker's code is uniform on [0, 2^``width``) and independent of
+    every other: its top 16 bits are one 16-bit lane of ceil(n / 4)
+    full-range uint64 words drawn for the n walkers, and its other
+    ``width`` - 16 bits, when ``width`` > 16, the top bits of one more
+    word.  The lane's top ``bits`` bits pick the bucket: one OR forms
+    the gather index 2^bits k + b, an ``np.intp`` index (``np.take``
+    converts any other index to ``intp`` first, which made a gather about
+    1.6x slower with an int32 index).  A bucket that lies inside one
+    target's codes gives it, whatever the code's other bits, so those
+    are drawn only for the walkers whose bucket straddles, a few percent
+    at most: their bucket gathers -1 - k, and each draws its extra word
+    and looks its whole code up in ``bounds`` (see ``_guide``).  When
+    ``width`` <= 16, ``bits`` = ``width``, so no bucket straddles and a
+    lane's top ``width`` bits are the whole code.
     """
     n = len(state)
-    codes = rng.integers(0, 1 << 64, size=-(-n // 2), dtype=np.uint64).view(np.uint32)[:n]
-    np.right_shift(codes, 32 - bits, out=index)
+    lanes = rng.integers(0, 1 << 64, size=-(-n // 4), dtype=np.uint64).view(np.uint16)[:n]
+    np.right_shift(lanes, 16 - bits, out=index)
     np.bitwise_or(index, state, out=index)
     # Every index is in range, so the mode changes no result; "wrap"
     # gathered fastest and, like "clip", needs no bounds buffer.
@@ -398,7 +421,9 @@ def _jump(state, index, table, bounds, targets, bits, rng) -> None:
     straddle = np.flatnonzero(state < 0)
     if straddle.size:
         row = -1 - state[straddle].astype(np.int64)
-        state[straddle] = targets[np.searchsorted(bounds, (row << 32) | codes[straddle], side="right")] << bits
+        rest = rng.integers(0, 1 << 64, size=straddle.size, dtype=np.uint64) >> (80 - width)
+        code = (row << 16 | lanes[straddle]) << (width - 16) | rest.astype(np.int64)
+        state[straddle] = targets[np.searchsorted(bounds, code, side="right")] << bits
 
 
 # ---------------------------------------------------------------------------

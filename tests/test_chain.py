@@ -300,24 +300,24 @@ def test_lazy_steps_are_binomially_many_non_lazy_moves(tree):
         assert thinned == lazy_power
 
 
-def _codes_per_target(table, bounds, targets, bits, row, width):
-    """Codes of [0, 2^32) that each target of one guide row gets, counted through guide and CDF.
+def _codes_per_target(table, bounds, targets, bits, width, row, k):
+    """Codes of [0, 2^width) that each of the k targets of one guide row gets, counted through guide and CDF.
 
-    A pure bucket gives all of its 2^(32 - bits) codes to the target its
-    entry names; a straddling bucket (entry -1 - row) splits its codes by
-    the row's integer CDF, the bounds in (row 2^32, (row + 1) 2^32] and
-    their targets.  Also returns the number of straddling buckets.
+    A pure bucket gives all of its 2^(width - bits) codes to the target
+    its entry names; a straddling bucket (entry -1 - row) splits its codes
+    by the row's integer CDF, the bounds in (row 2^width, (row + 1) 2^width]
+    and their targets.  Also returns the number of straddling buckets.
     """
-    span = 1 << (32 - bits)
+    span = 1 << (width - bits)
     entries = table[row << bits : (row + 1) << bits].astype(np.int64)
-    counts = np.zeros(width, dtype=np.int64)
+    counts = np.zeros(k, dtype=np.int64)
     pure = entries >= 0
     np.add.at(counts, entries[pure] >> bits, span)
     straddling = np.flatnonzero(~pure)
     assert np.all(entries[straddling] == -1 - row)
     if straddling.size:
-        lo, hi = np.searchsorted(bounds, [row << 32, (row + 1) << 32], side="right")
-        ends = bounds[lo:hi] - (row << 32)
+        lo, hi = np.searchsorted(bounds, [row << width, (row + 1) << width], side="right")
+        ends = bounds[lo:hi] - (row << width)
         starts = np.concatenate([[0], ends[:-1]])
         for b in straddling.tolist():
             first, last = b * span, (b + 1) * span
@@ -325,16 +325,19 @@ def _codes_per_target(table, bounds, targets, bits, row, width):
     return counts, straddling.size
 
 
-# J = 16 at the default constants, and each j of the short jump: a cap of
-# max(K, 16) 4^j entries leaves 4^j buckets a row, and a guide of more
-# than 2j bits turns the long jump off.
-JUMPS = [*range(1, 9), 16]
+# Each j of the short jump: a cap of max(K, 28) 4^j entries leaves 4^j
+# buckets a row, and a guide of more than 2j bits turns the long jump off.
+# Then long jumps of 16 and 28 moves at the default cap: J = 28 is the
+# default, and J = 16, set through ``_LONG_JUMP``, draws 32-bit codes.
+JUMPS = [*range(1, 9), 16, 28]
 
 
 def _indexed_at_jump(tree, jump, monkeypatch):
-    if jump != 16:
+    if jump <= 8:
         monkeypatch.setattr(chain, "_MIN_GUIDE_BITS", 2 * jump + 1)
-        monkeypatch.setattr(chain, "_TABLE_ENTRIES", max(len(tree.nodes), 16) * 4**jump)
+        monkeypatch.setattr(chain, "_TABLE_ENTRIES", max(len(tree.nodes), 28) * 4**jump)
+    else:
+        monkeypatch.setattr(chain, "_LONG_JUMP", jump)
     indexed = IndexedTree(tree)
     assert indexed.jump == jump
     return indexed
@@ -348,14 +351,14 @@ def test_jump_table_has_the_exact_j_step_law(tree, jump, monkeypatch):
     straddles = 0
     for row, exact in enumerate(_exact_power(tree, jump, lazy=False)):
         counts, straddled = _codes_per_target(
-            indexed.jump_table, indexed.jump_bounds, indexed.jump_targets, indexed.bits, row, k
+            indexed.jump_table, indexed.jump_bounds, indexed.jump_targets, indexed.bits, 2 * jump, row, k
         )
-        assert [Fraction(int(c), 2**32) for c in counts] == exact
+        assert [Fraction(int(c), 2 ** (2 * jump)) for c in counts] == exact
         straddles += straddled
-    if jump == 16 and k > 1:
+    if jump > 8 and k > 1:
         # Some bucket straddles two targets, so the CDF fix-up is exercised.
         assert straddles > 0
-    if jump < 16:
+    if jump <= 8:
         assert straddles == 0 and indexed.bits == 2 * jump
     if jump == 1:
         # The guide lists each row's targets in index order, not draw order.
@@ -371,13 +374,13 @@ def test_remainder_rows_have_the_exact_r_step_law_from_the_root(tree, jump, monk
     assert indexed.remainder_table.size == jump << indexed.bits
     for r in range(jump):
         counts, _ = _codes_per_target(
-            indexed.remainder_table, indexed.remainder_bounds, indexed.remainder_targets, indexed.bits, r, k
+            indexed.remainder_table, indexed.remainder_bounds, indexed.remainder_targets, indexed.bits, 2 * jump, r, k
         )
         if r:
             exact = _exact_power(tree, r, lazy=False)[indexed.root]
         else:
             exact = [Fraction(int(c == indexed.root)) for c in range(k)]
-        assert [Fraction(int(c), 2**32) for c in counts] == exact
+        assert [Fraction(int(c), 2 ** (2 * jump)) for c in counts] == exact
 
 
 def _root_row(tree, r):
@@ -404,10 +407,10 @@ def test_remainder_rows_past_32_nodes_have_the_exact_r_step_law(tree, jump):
     assert indexed.remainder_bounds.size == 0
     for r in range(jump):
         counts, straddled = _codes_per_target(
-            indexed.remainder_table, indexed.remainder_bounds, indexed.remainder_targets, indexed.bits, r, k
+            indexed.remainder_table, indexed.remainder_bounds, indexed.remainder_targets, indexed.bits, 2 * jump, r, k
         )
         assert straddled == 0
-        assert [Fraction(int(c), 2**32) for c in counts] == _root_row(tree, r)
+        assert [Fraction(int(c), 2 ** (2 * jump)) for c in counts] == _root_row(tree, r)
     tables = (indexed.jump_table, indexed.remainder_table, indexed.jump_bounds, indexed.remainder_bounds)
     assert all(table.size <= 2**15 for table in (*tables, indexed.jump_targets, indexed.remainder_targets))
 
@@ -429,14 +432,18 @@ def _integer_rows(tree, nodes, j):
     return powers
 
 
-# At the default cap: J = 16 up to 32 nodes, then J = 4, 4, 3 and 2 on
-# 63, 127, 255 and 2,047 nodes (J = 3 is the one odd power).
+# At the default cap: J = 28 up to 32 nodes (and 16 when ``_LONG_JUMP`` is
+# set to 16), then J = 4, 4, 3 and 2 on 63, 127, 255 and 2,047 nodes (J = 3
+# is the one odd power).
 @pytest.mark.parametrize(
     "tree, jump",
     [
         (ExplicitTree([()]), 16),
         (SMALL_TREES[-1], 16),
         (ExplicitTree(full_binary_tree(4).nodes | {(1, 1, 1, 1, 1)}), 16),
+        (ExplicitTree([()]), 28),
+        (SMALL_TREES[-1], 28),
+        (ExplicitTree(full_binary_tree(4).nodes | {(1, 1, 1, 1, 1)}), 28),
         (full_binary_tree(5), 4),
         (full_binary_tree(6), 4),
         (full_binary_tree(7), 3),
@@ -444,16 +451,18 @@ def _integer_rows(tree, nodes, j):
     ],
     ids=lambda x: str(x) if isinstance(x, int) else f"{len(x.nodes)}nodes",
 )
-def test_jump_rows_have_the_exact_j_step_law_at_the_default_cap(tree, jump):
+def test_jump_rows_have_the_exact_j_step_law_at_the_default_cap(tree, jump, monkeypatch):
+    if jump == 16:
+        monkeypatch.setattr(chain, "_LONG_JUMP", 16)
     indexed = IndexedTree(tree)
     assert indexed.jump == jump
-    k, scale = len(indexed.nodes), 4 ** (16 - jump)
+    k = len(indexed.nodes)
     for row, exact in enumerate(_integer_rows(tree, indexed.nodes, jump)):
         counts, _ = _codes_per_target(
-            indexed.jump_table, indexed.jump_bounds, indexed.jump_targets, indexed.bits, row, k
+            indexed.jump_table, indexed.jump_bounds, indexed.jump_targets, indexed.bits, 2 * jump, row, k
         )
         reached = np.flatnonzero(counts)
-        assert dict(zip(reached.tolist(), counts[reached].tolist())) == {t: c * scale for t, c in exact.items()}
+        assert dict(zip(reached.tolist(), counts[reached].tolist())) == exact
 
 
 def test_a_2047_node_build_allocates_no_dense_matrix():
@@ -474,6 +483,11 @@ def test_a_2047_node_build_allocates_no_dense_matrix():
         (SMALL_TREES[-1], 16),
         (ExplicitTree(full_binary_tree(2).nodes | {(0, 0, 0), (0, 0, 1)}), 16),
         (full_binary_tree(4), 16),
+        (ExplicitTree([()]), 28),
+        (ExplicitTree([(), (1,)]), 28),
+        (SMALL_TREES[-1], 28),
+        (ExplicitTree(full_binary_tree(2).nodes | {(0, 0, 0), (0, 0, 1)}), 28),
+        (full_binary_tree(4), 28),
         (full_binary_tree(5), 4),
         (full_binary_tree(6), 4),
         (full_binary_tree(8), 3),
@@ -482,12 +496,16 @@ def test_a_2047_node_build_allocates_no_dense_matrix():
     ],
     ids=lambda x: str(x) if isinstance(x, int) else f"{len(x.nodes)}nodes",
 )
-def test_jump_length_follows_the_table_cap(tree, jump):
+def test_jump_length_follows_the_table_cap(tree, jump, monkeypatch):
+    # J = 16 is the long jump when ``_LONG_JUMP`` is set to 16.
+    if jump == 16:
+        monkeypatch.setattr(chain, "_LONG_JUMP", 16)
     indexed = IndexedTree(tree)
     k = len(tree.nodes)
     assert indexed.jump == jump
-    # 2^11 buckets a row up to 16 nodes and 2^10 up to 32; 4^j above.
-    assert indexed.bits == (11 if k <= 16 else 10 if k <= 32 else 2 * jump)
+    # Up to 32 nodes max(K, J) rows share the cap: 2^11 buckets a row up
+    # to 16 nodes at J = 16, and 2^10 otherwise; 4^j above.
+    assert indexed.bits == (11 if jump == 16 and k <= 16 else 10 if k <= 32 else 2 * jump)
     assert indexed.jump_table.size == k << indexed.bits
     assert indexed.remainder_table.size == jump << indexed.bits
     tables = (indexed.jump_table, indexed.remainder_table, indexed.jump_bounds, indexed.remainder_bounds)
@@ -510,10 +528,10 @@ def test_walk_batch_zero_steps_stays_at_root(rng):
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 6, 7, 13, 20])
 def test_walk_batch_leftover_steps(steps, rng, monkeypatch):
-    # Sixteen moves per jump here, so every walker whose binomial move
-    # count is not a multiple of sixteen draws from a remainder row.
+    # 28 moves per jump here, so every walker whose binomial move count
+    # is not a multiple of 28 draws from a remainder row.
     tree = full_binary_tree(1)
-    assert IndexedTree(tree).jump == 16
+    assert IndexedTree(tree).jump == 28
     drawn = []
     sorted_moves = chain._sorted_moves
 
@@ -524,9 +542,9 @@ def test_walk_batch_leftover_steps(steps, rng, monkeypatch):
     monkeypatch.setattr(chain, "_sorted_moves", recorded)
     assert _walk_law_distance(tree, 100_000, steps, rng) < 0.01
     (moves,) = drawn
-    assert np.count_nonzero(moves % 16) > 0
-    if steps > 16:
-        assert np.count_nonzero((moves >= 16) & (moves % 16 > 0)) > 0
+    assert np.count_nonzero(moves % 28) > 0
+    if steps > 28:
+        assert np.count_nonzero((moves >= 28) & (moves % 28 > 0)) > 0
 
 
 def test_walk_batch_single_node_tree():
@@ -543,13 +561,13 @@ def test_walk_batch_wider_than_a_draw_block(rng):
 
 
 def test_walk_batch_spans_several_draw_blocks(rng):
-    # About 203 moves a walker: about 12 jump passes of sixteen moves
-    # after the remainder pass, each drawing its own codes.
+    # About 203 moves a walker: about 7 jump passes of 28 moves after
+    # the remainder pass, each drawing its own codes.
     assert _walk_law_distance(full_binary_tree(2), 1000, 4 * 101 + 3, rng) < 0.05
 
 
 # Trees of 1, 2, 11 and 32 rows: the 32-row tree is the largest that
-# jumps sixteen moves, on 2^10 guide buckets a row.
+# jumps 28 moves, on 2^10 guide buckets a row.
 Z_TREES = [
     ExplicitTree([()], height=2),
     ExplicitTree([(), (1,)]),
@@ -558,7 +576,8 @@ Z_TREES = [
 ]
 
 
-@pytest.mark.parametrize("steps", [7, 61, 300, 3206])
+# At T = 113 the mean move count, 56.5, spans two 28-move jumps.
+@pytest.mark.parametrize("steps", [7, 61, 113, 300, 3206])
 @pytest.mark.parametrize("tree", Z_TREES, ids=lambda t: f"{len(t.nodes)}rows")
 def test_walk_batch_ends_at_each_node_with_its_exact_t_step_probability(tree, steps):
     indexed = IndexedTree(tree)
@@ -576,16 +595,33 @@ def test_walk_batch_ends_at_each_node_with_its_exact_t_step_probability(tree, st
 
 @pytest.mark.parametrize("steps", [5, 40, 407, 3206])
 @pytest.mark.parametrize("tree", [full_binary_tree(2), full_binary_tree(6)], ids=["7nodes", "127nodes"])
-def test_walk_batch_draws_exactly_the_code_words_it_uses(tree, steps):
+def test_walk_batch_draws_exactly_the_code_words_it_uses(tree, steps, monkeypatch):
     indexed, walkers = IndexedTree(tree), 3001
-    spy = _SpyRng(steps)
+    spy, passes = _SpyRng(steps), []
+    jump = chain._jump
+
+    def counted(state, index, table, bounds, targets, bits, width, rng):
+        # Each walker's bucket is the top bits of its lane of the pass's first draw.
+        rows, first = state.copy(), len(spy.drawn)
+        jump(state, index, table, bounds, targets, bits, width, rng)
+        lanes = spy.drawn[first].view(np.uint16)[: len(rows)]
+        passes.append((len(rows), int(np.count_nonzero(table[rows | (lanes >> (16 - bits))] < 0))))
+
+    monkeypatch.setattr(chain, "_jump", counted)
     indexed.walk_batch(walkers, steps, spy)
     (moves,) = spy.moves
     j = indexed.jump
-    # Half a word a walker for the remainder pass, then for jump p the
-    # walkers with at least p j moves.
+    # The remainder pass moves every walker, then jump p the walkers with
+    # at least p j moves.
     widths = [walkers] + [int(np.count_nonzero(moves >= p * j)) for p in range(1, int(moves.max()) // j + 1)]
-    assert spy.words == [-(-w // 2) for w in widths]
+    assert [w for w, _ in passes] == widths
+    # A quarter word a walker, then one more word a straddling walker.
+    assert spy.words == [n for w, straddlers in passes for n in (-(-w // 4), straddlers) if n]
+    straddled = sum(straddlers for _, straddlers in passes)
+    if indexed.jump_bounds.size == 0:
+        assert straddled == 0
+    elif steps > 5:
+        assert straddled > 0
 
 
 def test_walk_batch_memory_does_not_grow_with_the_walk(rng):
@@ -657,6 +693,52 @@ def test_grown_walk_moves_are_the_low_bits_of_each_lane(monkeypatch):
     every_lane = np.arange(1 << 16, dtype=np.uint16).view(np.uint64)
     rows.walk_batch(1, 1 << 17, _WordsRng([1 << 16], every_lane))
     assert np.bincount(walked[0], minlength=4).tolist() == [1 << 14] * 4
+
+
+@pytest.mark.parametrize("tree", [SMALL_TREES[-1], Z_TREES[-1]], ids=lambda t: f"{len(t.nodes)}nodes")
+def test_jump_picks_the_bucket_by_lane_and_resolves_straddlers_by_their_whole_code(tree):
+    # Every bucket of every jump row once, each at a random 56-bit code
+    # inside it, through chosen words: the lanes of ceil(n / 4) words,
+    # then one word a straddling walker whose top 40 bits end its code.
+    indexed = IndexedTree(tree)
+    k, bits, width = len(indexed.nodes), indexed.bits, 2 * indexed.jump
+    assert width == 56
+    gen = np.random.default_rng(len(tree.nodes))
+    rows, buckets = np.divmod(np.arange(k << bits), 1 << bits)
+    codes = (buckets << (width - bits)) | gen.integers(0, 1 << (width - bits), size=rows.size)
+    lanes = np.zeros(-(-rows.size // 4) * 4, dtype=np.uint16)
+    lanes[: rows.size] = codes >> (width - 16)
+    straddling = indexed.jump_table[(rows << bits) | buckets] < 0
+    assert straddling.any()
+    rest = (codes[straddling] & ((1 << (width - 16)) - 1)).astype(np.uint64)
+    junk = gen.integers(0, 1 << (80 - width), size=rest.size, dtype=np.uint64)
+    words = np.concatenate([lanes.view(np.uint64), (rest << (80 - width)) | junk])
+    rng = _WordsRng([], words)
+    state = (rows << bits).astype(np.int32)
+    chain._jump(
+        state, np.empty(rows.size, dtype=np.intp), indexed.jump_table, indexed.jump_bounds,
+        indexed.jump_targets, bits, width, rng,
+    )
+    assert rng.words.size == 0
+    # Each code goes to the target whose interval of its row's integer CDF holds it.
+    expected = []
+    for row, exact in enumerate(_integer_rows(tree, indexed.nodes, indexed.jump)):
+        targets = sorted(exact)
+        ends = np.cumsum([exact[t] for t in targets])
+        assert ends[-1] == 1 << width
+        found = np.searchsorted(ends, codes[rows == row], side="right")
+        expected.extend(targets[i] for i in found.tolist())
+    assert np.array_equal(state >> bits, expected)
+
+
+def test_jump_bounds_at_32_nodes_stay_within_int64():
+    # 32 rows of 2^56 codes end at 2^61: every running sum is exact, so
+    # the bounds increase strictly and end at 32 2^56.
+    indexed = IndexedTree(Z_TREES[-1])
+    assert len(indexed.nodes) == 32 and indexed.jump == 28
+    for bounds, rows in ((indexed.jump_bounds, 32), (indexed.remainder_bounds, 28)):
+        assert np.all(np.diff(bounds) > 0)
+        assert bounds[-1] == rows << 56
 
 
 def test_scalar_walk_matches_stationary_on_instance_tree(rng):
@@ -1039,10 +1121,10 @@ def test_grown_walk_gives_the_lazy_step_estimate(tree, monkeypatch):
 
 
 class _SpyRng:
-    """A generator that records the move counts and the code words it is asked for."""
+    """A generator that records the move counts and the code words it is asked for and draws."""
 
     def __init__(self, seed: int):
-        self.rng, self.moves, self.words = np.random.default_rng(seed), [], []
+        self.rng, self.moves, self.words, self.drawn = np.random.default_rng(seed), [], [], []
 
     def binomial(self, n, p, size):
         drawn = self.rng.binomial(n, p, size)
@@ -1051,7 +1133,8 @@ class _SpyRng:
 
     def integers(self, low, high, size, dtype):
         self.words.append(size)
-        return self.rng.integers(low, high, size=size, dtype=dtype)
+        self.drawn.append(self.rng.integers(low, high, size=size, dtype=dtype))
+        return self.drawn[-1]
 
     def shuffle(self, x):
         self.rng.shuffle(x)

@@ -209,10 +209,10 @@ PINNED = {
         "command": "estimate",
         "degenerate_depths": 0,
         "error_radius": 16.0,
-        "estimate": 10.025284419349347,
+        "estimate": 10.068239295305503,
         "estimate_clamped": 10,
-        "fraction": 0.6265802762093342,
-        "fraction_clamped": 0.6265802762093342,
+        "fraction": 0.6292649559565939,
+        "fraction_clamped": 0.6292649559565939,
         "height": 4,
         "mode": "telescoping",
         "params": {
